@@ -10,15 +10,15 @@
 //! tuple-for-tuple the from-scratch semi-naive stage sequence.
 
 use datalog_expressiveness::datalog::programs::{
-    avoiding_path, path_systems, q_kl, q_prime, transitive_closure, two_disjoint_paths_acyclic,
-    two_disjoint_paths_paper_rules, two_pairs_vocabulary,
+    avoiding_path, path_systems, q_kl, q_prime, transitive_closure, triangles,
+    two_disjoint_paths_acyclic, two_disjoint_paths_paper_rules, two_pairs_vocabulary,
 };
 use datalog_expressiveness::datalog::{
     EvalOptions, Evaluator, Fact, IdbId, IncrementalEngine, JoinLowering, PlannerMode, Program,
 };
 use datalog_expressiveness::structures::generators::{random_dag, random_digraph};
 use datalog_expressiveness::structures::{Element, SplitMix64, Structure, Vocabulary};
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// One structure appropriate for each program's vocabulary (mirrors the
@@ -254,6 +254,71 @@ fn reordered_batches_are_equivalent_to_unreordered() {
                 );
             }
             assert_matches_scratch(&shuffled, program, &format!("{label} reordered"));
+        }
+    }
+}
+
+/// Live tuple → derivation-support map of one maintained IDB predicate.
+fn support_map(engine: &IncrementalEngine, i: usize) -> HashMap<Vec<Element>, u32> {
+    let store = engine.idb_store(IdbId(i));
+    store
+        .store()
+        .iter()
+        .zip(store.support_counts())
+        .filter(|&(_, &c)| c > 0)
+        .map(|(t, &c)| (t.to_vec(), c))
+        .collect()
+}
+
+#[test]
+fn thread_count_never_changes_supports_or_stages() {
+    // The threaded counting merge: rule variants are dealt round-robin to
+    // worker threads whose scratch arenas carry per-tuple derivation
+    // counts, merged into the shared stores at the stage barrier. Every
+    // derivation must be credited exactly once whatever the thread count,
+    // so supports, per-stage deltas and delta totals are thread-count-free.
+    let mut programs = all_programs();
+    programs.push(triangles());
+    for (pi, program) in programs.iter().enumerate() {
+        for (oi, base) in lowerings().into_iter().take(2).enumerate() {
+            let label = format!("program {pi} lowering {oi}");
+            let s = fixture_for(program, 9_900 + pi as u64);
+            let mut engines = Vec::new();
+            let mut firsts = Vec::new();
+            for threads in [1usize, 2, 4] {
+                let opts = base.with_threads(Some(threads));
+                let (engine, first) = IncrementalEngine::from_structure(program, &s, opts);
+                engines.push(engine);
+                firsts.push(first);
+            }
+            let mut rng = SplitMix64::seed_from_u64(0x1990_9900 + 7 * pi as u64 + oi as u64);
+            for batch in 0..=4u32 {
+                let summaries = if batch == 0 {
+                    std::mem::take(&mut firsts)
+                } else {
+                    let (inserts, retracts) = random_batch(&engines[0], &mut rng);
+                    engines
+                        .iter_mut()
+                        .map(|e| e.apply_batch(&inserts, &retracts))
+                        .collect()
+                };
+                for (t, (engine, summary)) in engines.iter().zip(&summaries).enumerate().skip(1) {
+                    let at = format!("{label} batch {batch} threads index {t}");
+                    assert_eq!(summary.stage_new, summaries[0].stage_new, "{at}: stage_new");
+                    assert_eq!(
+                        summary.delta_tuples, summaries[0].delta_tuples,
+                        "{at}: delta_tuples"
+                    );
+                    for i in 0..program.idb_count() {
+                        assert_eq!(
+                            support_map(engine, i),
+                            support_map(&engines[0], i),
+                            "{at}: support diverged on IDB {i}"
+                        );
+                    }
+                }
+                assert_matches_scratch(&engines[0], program, &format!("{label} batch {batch}"));
+            }
         }
     }
 }

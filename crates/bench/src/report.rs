@@ -378,10 +378,14 @@ fn edb_facts(s: &Structure) -> Vec<Fact> {
 }
 
 /// A per-case scratch directory for durable-engine measurements, namespaced
-/// by pid so concurrent harness runs do not collide. The caller removes it
-/// when done; a stale leftover from a killed run is clobbered here.
+/// by pid and a per-process call counter so neither concurrent harness
+/// runs nor concurrent reports in one process (parallel unit tests)
+/// collide. The caller removes it when done; a stale leftover from a
+/// killed run is clobbered here.
 fn durable_scratch_dir(tag: &str, case: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("kv-{tag}-{}-{case}", std::process::id()));
+    static CALLS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    let call = CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("kv-{tag}-{}-{call}-{case}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }

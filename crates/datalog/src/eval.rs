@@ -25,12 +25,13 @@
 //!
 //! Programs are compiled **once** — [`Evaluator::new`] (or
 //! [`CompiledProgram::compile`]) performs equality elimination, delta
-//! rewriting, and index planning; `run` only joins. Because the stores are
-//! immutable during a stage, independent rule variants evaluate **in
-//! parallel** (driven by [`kv_structures::par`], honoring
-//! `RAYON_NUM_THREADS`): workers read the shared stores and intern
-//! candidate heads into private scratch arenas whose [`TupleId`]-dense
-//! contents are re-interned into the shared stores at stage end; set-union
+//! rewriting, and index planning; `run` only joins. Each stage runs
+//! through the semi-naive stage executor (`crate::stage`) that incremental
+//! maintenance shares. Because the stores are immutable during a stage,
+//! independent rule variants evaluate **in parallel** (driven by
+//! [`kv_structures::par`], honoring `RAYON_NUM_THREADS`): workers read the
+//! shared stores and intern candidate heads into private scratch arenas
+//! that are re-interned into the shared stores at stage end; set-union
 //! merging makes the result identical to sequential evaluation, stage by
 //! stage.
 //!
@@ -47,9 +48,9 @@ use crate::ast::{IdbId, Literal, Pred, Rule, Term, VarId};
 use crate::planner::{self, RunPlan, SccInfo};
 use crate::program::Program;
 use crate::sharded;
+use crate::stage::StageExec;
 use crate::wcoj::{self, GenericPlan};
 use kv_structures::govern::{Budget, Governor, Interrupted};
-use kv_structures::par::{par_workers, thread_count};
 use kv_structures::store::{
     gallop_intersect, tuple_hash, EvalStats, IdRange, LimitExceeded, Limits, PosIndex, StoreView,
     TupleBloom, TupleId, TupleStore,
@@ -961,14 +962,7 @@ impl CompiledProgram {
         structure: &Structure,
         options: EvalOptions,
     ) -> Result<EvalResult, LimitExceeded> {
-        let gov = Governor::with_budget(Budget::from(options.limits));
-        self.try_run_governed(structure, options, &gov)
-            .map_err(|e| match e.reason {
-                Interrupted::Limit(l) => l,
-                // The governor above has no deadline and a private,
-                // never-cancelled token.
-                other => unreachable!("ungoverned interrupt source fired: {other}"),
-            })
+        self.try_run_seeded(structure, options, &[])
     }
 
     /// Governed evaluation: honors the `gov`'s budget, deadline, and
@@ -986,21 +980,7 @@ impl CompiledProgram {
         options: EvalOptions,
         gov: &Governor,
     ) -> Result<EvalResult, EvalInterrupted> {
-        let idb_count = self.idb_arities.len();
-        let checkpoint = EvalCheckpoint {
-            idb_stores: self
-                .idb_arities
-                .iter()
-                .map(|&a| TupleStore::new(a))
-                .collect(),
-            delta_lo: vec![0u32; idb_count],
-            stats: Vec::new(),
-            stage_marks: Vec::new(),
-            eval_stats: EvalStats::default(),
-            stage: 0,
-            active_sccs: Vec::new(),
-        };
-        self.run_from(structure, options, gov, checkpoint)
+        self.try_run_governed_seeded(structure, options, gov, &[])
     }
 
     /// Evaluates on `structure` with `seeds` pre-interned into their IDB
@@ -1029,6 +1009,8 @@ impl CompiledProgram {
         self.try_run_governed_seeded(structure, options, &gov, seeds)
             .map_err(|e| match e.reason {
                 Interrupted::Limit(l) => l,
+                // The governor above has no deadline and a private,
+                // never-cancelled token.
                 other => unreachable!("ungoverned interrupt source fired: {other}"),
             })
     }
@@ -1110,9 +1092,6 @@ impl CompiledProgram {
             &self.vocabulary,
             "structure/program vocabulary mismatch"
         );
-        let idb_count = self.idb_arities.len();
-        let universe = structure.universe_size();
-
         // Cost-based mode re-plans every rule body against this structure's
         // cardinality statistics; textual mode evaluates the compiled rules
         // as written. The plan is a pure function of (program, structure,
@@ -1138,31 +1117,8 @@ impl CompiledProgram {
             ),
         };
 
-        // EDB stores are the structure's own relation stores (zero-copy);
-        // their indexes are built once, up front.
-        let edb_stores: Vec<&TupleStore> = self
-            .vocabulary
-            .relations()
-            .map(|r| structure.relation(r).store())
-            .collect();
-        let edb_idx: Vec<Vec<PosIndex>> = edb_stores
-            .iter()
-            .zip(edb_positions)
-            .map(|(store, positions)| {
-                positions
-                    .iter()
-                    .map(|&p| {
-                        let mut ix = PosIndex::new(p);
-                        ix.update(store);
-                        ix
-                    })
-                    .collect()
-            })
-            .collect();
-
-        // IDB state from the checkpoint (empty on a fresh run); indexes
-        // are rebuilt over the committed prefix and then extended (not
-        // rebuilt) after each further stage commits.
+        // IDB state from the checkpoint (empty on a fresh run); the stage
+        // executor rebuilds the indexes over the committed prefix.
         let EvalCheckpoint {
             mut idb_stores,
             mut delta_lo,
@@ -1172,37 +1128,13 @@ impl CompiledProgram {
             mut stage,
             active_sccs: _,
         } = cp;
-        let mut idb_idx: Vec<Vec<PosIndex>> = idb_positions
-            .iter()
-            .zip(&idb_stores)
-            .map(|(positions, store)| {
-                positions
-                    .iter()
-                    .map(|&p| {
-                        let mut ix = PosIndex::new(p);
-                        ix.update(store);
-                        ix
-                    })
-                    .collect()
-            })
-            .collect();
 
-        // Cost-based runs keep a Bloom pre-filter over each IDB's
-        // committed tuples: a negative answer skips the interner lookup on
-        // the hot early-exit and emit paths. Rebuilt deterministically from
-        // the committed prefix, extended after each stage commit.
-        let mut blooms: Option<Vec<TupleBloom>> = planned.as_ref().map(|_| {
-            idb_stores
-                .iter()
-                .map(|store| {
-                    let mut bloom = TupleBloom::with_capacity(store.len().max(64) * 2);
-                    for t in store.iter() {
-                        bloom.insert(tuple_hash(t));
-                    }
-                    bloom
-                })
-                .collect()
-        });
+        // EDB stores are the structure's own relation stores (zero-copy).
+        let edb_stores: Vec<&TupleStore> = self
+            .vocabulary
+            .relations()
+            .map(|r| structure.relation(r).store())
+            .collect();
 
         // Sharded execution state: shard keys are a pure function of the
         // compiled variants and the EDB statistics (resumed runs re-derive
@@ -1211,7 +1143,6 @@ impl CompiledProgram {
         // interrupts discard partial stages whole, so a checkpoint never
         // holds in-flight exchange tuples.
         let mut shard_state: Option<sharded::ShardState> = options.shards.map(|w| {
-            let workers = w.max(1);
             let edb_stats: Vec<kv_structures::CardStats> =
                 edb_stores.iter().map(|s| s.card_stats()).collect();
             let edb_arities: Vec<usize> = edb_stores.iter().map(|s| s.arity()).collect();
@@ -1223,28 +1154,29 @@ impl CompiledProgram {
                 &edb_stats,
             );
             let idb_refs: Vec<&TupleStore> = idb_stores.iter().collect();
-            let ranges = sharded::delta_ranges(&idb_refs, &delta_lo, &plan.idb_keys, workers);
-            sharded::ShardState {
-                workers,
-                plan,
-                ranges,
-                owned: vec![0; workers],
-                exchanged: 0,
-            }
+            sharded::ShardState::new(w.max(1), plan, &idb_refs, &delta_lo, None)
         });
+        let mut exec = StageExec::new(
+            structure,
+            &options,
+            edb_stores,
+            None,
+            &idb_stores,
+            (edb_positions, idb_positions),
+            shard_state.as_mut(),
+        );
 
         // Packages the committed state back up on interrupt.
         macro_rules! interrupt {
-            ($reason:expr, $stores:expr, $delta:expr, $stats:expr, $marks:expr, $estats:expr, $stage:expr, $active:expr) => {{
-                let mut eval_stats = $estats;
-                eval_stats.stages = $stats.len() as u64;
+            ($reason:expr, $stage:expr, $active:expr) => {{
+                eval_stats.stages = stats.len() as u64;
                 return Err(EvalInterrupted {
                     reason: $reason,
                     checkpoint: EvalCheckpoint {
-                        idb_stores: $stores,
-                        delta_lo: $delta,
-                        stats: $stats,
-                        stage_marks: $marks,
+                        idb_stores,
+                        delta_lo,
+                        stats,
+                        stage_marks,
                         eval_stats,
                         stage: $stage,
                         active_sccs: $active,
@@ -1267,288 +1199,36 @@ impl CompiledProgram {
             // Coarse boundary check (cancellation poll + deadline + all
             // budgets), then the stage budget for the stage about to run.
             if let Err(reason) = gov.check().and_then(|()| gov.charge_stage()) {
-                interrupt!(
-                    reason,
-                    idb_stores,
-                    delta_lo,
-                    stats,
-                    stage_marks,
-                    eval_stats,
-                    stage,
-                    active_sccs
-                );
+                interrupt!(reason, stage, active_sccs);
             }
-            stage += 1;
-            let prev_len: Vec<u32> = idb_stores.iter().map(|s| s.len() as u32).collect();
-            let rules_this_stage: &[CompiledRule] = if stage == 1 || !options.semi_naive {
+            let rules = if stage == 0 || !options.semi_naive {
                 naive_rules
             } else {
                 semi_variants
             };
-            // Textual mode: keep only variants whose delta seed is
-            // non-empty (the rest derive nothing this stage). Cost-based
-            // mode sharpens this with the full range check: a rule with
-            // *any* empty IDB source derives nothing either, so whole rule
-            // groups of not-yet-populated (or already-converged) SCCs are
-            // skipped before a single probe is issued — the stratum
-            // schedule's work-avoidance, with stage semantics intact.
-            let live_rules: Vec<&CompiledRule> = rules_this_stage
-                .iter()
-                .filter(|rule| match options.planner {
-                    PlannerMode::Textual => match rule.atoms.first() {
-                        Some(first) if first.access == IdbAccess::Delta => match first.pred {
-                            Pred::Idb(i) => delta_lo[i.0] < prev_len[i.0],
-                            Pred::Edb(_) => true,
-                        },
-                        _ => true,
-                    },
-                    PlannerMode::CostBased => rule.atoms.iter().all(|atom| match atom.pred {
-                        Pred::Edb(_) => true,
-                        Pred::Idb(i) => match atom.access {
-                            IdbAccess::Delta => delta_lo[i.0] < prev_len[i.0],
-                            IdbAccess::Old => delta_lo[i.0] > 0,
-                            IdbAccess::Full => prev_len[i.0] > 0,
-                        },
-                    }),
-                })
-                .collect();
-
-            // Evaluate independent variants in parallel. Workers read the
-            // shared stores and intern candidate heads into private
-            // scratch arenas; re-interning those at merge makes the stage
-            // result identical to a sequential run (set union).
-            let idb_refs: Vec<&TupleStore> = idb_stores.iter().collect();
-            let mut new_count = vec![0usize; idb_count];
-            if let Some(state) = shard_state.as_mut() {
-                // Sharded stage: every worker runs the *full* live-rule
-                // set over its owner slice of each delta window (stage one
-                // and naive stages have no delta, so they partition rules
-                // instead), then routes derivations by the owner of the
-                // derived tuple. The per-worker derivation sets partition
-                // the stage's derivations, and the stage barrier below is
-                // the only synchronization point.
-                let w_count = state.workers;
-                let use_sub = options.semi_naive && stage > 1;
-                let sub_ranges = &state.ranges;
-                let keys = &state.plan.idb_keys;
-                let mut results: Vec<(WorkerBuf, sharded::RoutedDelta)> =
-                    par_workers(w_count, |w| {
-                        let ctx = JoinCtx {
-                            structure,
-                            universe,
-                            edb: &edb_stores,
-                            edb_idx: &edb_idx,
-                            idb: &idb_refs,
-                            idb_idx: &idb_idx,
-                            blooms: blooms.as_deref(),
-                            prev_len: &prev_len,
-                            delta_lo: &delta_lo,
-                            edb_delta_lo: None,
-                            idb_delta_sub: if use_sub { Some(&sub_ranges[w]) } else { None },
-                            edb_delta_sub: None,
-                            batched: planned.is_some(),
-                            gov,
-                        };
-                        let mut buf = WorkerBuf::new(&self.idb_arities);
-                        let (skip, step) = if use_sub { (0, 1) } else { (w, w_count) };
-                        for rule in live_rules.iter().skip(skip).step_by(step) {
-                            if let Err(reason) = evaluate_rule(rule, &ctx, &mut buf) {
-                                buf.tripped = Some(reason);
-                                break;
-                            }
-                        }
-                        let routed = sharded::route_worker(&buf, keys, w_count);
-                        (buf, routed)
-                    });
-                for (buf, _) in &mut results {
-                    if buf.tripped.is_none() && buf.pending_steps > 0 {
-                        buf.tripped = gov.step(buf.pending_steps).err();
-                        buf.pending_steps = 0;
-                    }
-                }
-                // A tripped worker aborts the stage whole: scratch arenas
-                // *and* routed outboxes are discarded, so a checkpoint
-                // never carries in-flight exchange tuples — the per-shard
-                // frontier is exactly the committed delta, recomputed by
-                // owner scan on resume.
-                if let Some(reason) = results.iter().find_map(|(b, _)| b.tripped) {
-                    stage -= 1;
-                    interrupt!(
-                        reason,
-                        idb_stores,
-                        delta_lo,
-                        stats,
-                        stage_marks,
-                        eval_stats,
-                        stage,
-                        active_sccs
-                    );
-                }
-                let mut routed = Vec::with_capacity(w_count);
-                for (buf, r) in results {
-                    eval_stats.join_probes += buf.probes;
-                    eval_stats.magic_probes += buf.magic_probes;
-                    eval_stats.block_probes += buf.block_probes;
-                    eval_stats.gallop_steps += buf.gallop_steps;
-                    eval_stats.wcoj_rules += buf.wcoj_rules;
-                    eval_stats.duplicate_derivations += buf.dups;
-                    routed.push(r);
-                }
-                // Owner-ordered merge through the delta exchange: the
-                // committed delta is owner-contiguous, giving the next
-                // stage its per-worker sub-ranges for free.
-                let next = sharded::merge_set(
-                    &mut idb_stores,
-                    routed,
-                    w_count,
-                    &mut new_count,
-                    &mut eval_stats.duplicate_derivations,
-                    &mut state.exchanged,
-                );
-                state.commit_stage(next);
-            } else {
-                let ctx = JoinCtx {
-                    structure,
-                    universe,
-                    edb: &edb_stores,
-                    edb_idx: &edb_idx,
-                    idb: &idb_refs,
-                    idb_idx: &idb_idx,
-                    blooms: blooms.as_deref(),
-                    prev_len: &prev_len,
-                    delta_lo: &delta_lo,
-                    edb_delta_lo: None,
-                    idb_delta_sub: None,
-                    edb_delta_sub: None,
-                    batched: planned.is_some(),
-                    gov,
+            // A worker trip discards the stage whole, so the checkpoint
+            // holds exactly the committed stages (stage `n+1` is
+            // recomputed on resume).
+            let commit =
+                match exec.run_stage(rules, &mut idb_stores, &mut delta_lo, &mut eval_stats, gov) {
+                    Ok(commit) => commit,
+                    Err(reason) => interrupt!(reason, stage, active_sccs),
                 };
-                let workers = if options.parallel {
-                    options
-                        .threads
-                        .unwrap_or_else(thread_count)
-                        .min(live_rules.len())
-                        .max(1)
-                } else {
-                    1
-                };
-                let mut buffers: Vec<WorkerBuf> = par_workers(workers, |w| {
-                    let mut buf = WorkerBuf::new(&self.idb_arities);
-                    for rule in live_rules.iter().skip(w).step_by(workers) {
-                        if let Err(reason) = evaluate_rule(rule, &ctx, &mut buf) {
-                            buf.tripped = Some(reason);
-                            break;
-                        }
-                    }
-                    buf
-                });
-                // Flush each worker's trailing step count; a flush that trips
-                // the budget aborts the stage like an in-worker trip.
-                for buf in &mut buffers {
-                    if buf.tripped.is_none() && buf.pending_steps > 0 {
-                        buf.tripped = gov.step(buf.pending_steps).err();
-                        buf.pending_steps = 0;
-                    }
-                }
-                // Any tripped worker aborts the whole stage: scratch arenas
-                // and counters are discarded so the checkpoint holds exactly
-                // the committed stages (stage `n+1` is recomputed on resume).
-                if let Some(reason) = buffers.iter().find_map(|b| b.tripped) {
-                    stage -= 1;
-                    interrupt!(
-                        reason,
-                        idb_stores,
-                        delta_lo,
-                        stats,
-                        stage_marks,
-                        eval_stats,
-                        stage,
-                        active_sccs
-                    );
-                }
-
-                // Merge: re-intern each worker's scratch arena into the shared
-                // stores. A tuple scratch-derived by several workers is fresh
-                // only once (set union).
-                for buf in buffers {
-                    eval_stats.join_probes += buf.probes;
-                    eval_stats.magic_probes += buf.magic_probes;
-                    eval_stats.block_probes += buf.block_probes;
-                    eval_stats.gallop_steps += buf.gallop_steps;
-                    eval_stats.wcoj_rules += buf.wcoj_rules;
-                    eval_stats.duplicate_derivations += buf.dups;
-                    for (i, scratch) in buf.scratch.into_iter().enumerate() {
-                        for t in scratch.iter() {
-                            if idb_stores[i].intern(t).1 {
-                                new_count[i] += 1;
-                            } else {
-                                eval_stats.duplicate_derivations += 1;
-                            }
-                        }
-                    }
-                }
-            }
-
-            let any_new = new_count.iter().any(|&c| c > 0);
-            if any_new {
-                eval_stats.tuples_interned += new_count.iter().map(|&c| c as u64).sum::<u64>();
-                stats.push(StageStats {
-                    new_tuples: new_count.clone(),
-                });
-                stage_marks.push(idb_stores.iter().map(|s| s.len() as u32).collect());
-                // Advance delta markers and extend the indexes over the
-                // newly committed id range.
-                delta_lo.copy_from_slice(&prev_len);
-                for (store, ixs) in idb_stores.iter().zip(idb_idx.iter_mut()) {
-                    for ix in ixs {
-                        ix.update(store);
-                    }
-                }
-                // Extend the Bloom pre-filters over the committed delta,
-                // rebuilding any filter that grew past its useful load.
-                if let Some(blooms) = blooms.as_mut() {
-                    for (i, store) in idb_stores.iter().enumerate() {
-                        if blooms[i].should_grow() {
-                            let mut grown = TupleBloom::with_capacity(store.len() * 2);
-                            for t in store.iter() {
-                                grown.insert(tuple_hash(t));
-                            }
-                            blooms[i] = grown;
-                        } else {
-                            for id in delta_lo[i]..store.len() as u32 {
-                                blooms[i].insert(tuple_hash(store.get(TupleId(id))));
-                            }
-                        }
-                    }
-                }
-                // Tuple/byte budgets are charged after the stage commits,
-                // so the checkpoint includes it and resume continues from
-                // the next stage.
-                let new_total: u64 = new_count.iter().map(|&c| c as u64).sum();
-                let new_bytes: u64 = new_count
-                    .iter()
-                    .zip(&self.idb_arities)
-                    .map(|(&c, &a)| c as u64 * a.max(1) as u64 * 4)
-                    .sum();
-                if let Err(reason) = gov
-                    .charge_tuples(new_total)
-                    .and_then(|()| gov.charge_bytes(new_bytes))
-                {
-                    let active = self.scc.active_components(&delta_lo, &idb_stores);
-                    interrupt!(
-                        reason,
-                        idb_stores,
-                        delta_lo,
-                        stats,
-                        stage_marks,
-                        eval_stats,
-                        stage,
-                        active
-                    );
-                }
-            } else {
+            stage += 1;
+            if commit.is_fixpoint() {
                 converged = true;
                 break;
+            }
+            stats.push(StageStats {
+                new_tuples: commit.new_tuples,
+            });
+            stage_marks.push(idb_stores.iter().map(|s| s.len() as u32).collect());
+            // Tuple/byte budgets trip after the stage commits, so the
+            // checkpoint includes it and resume continues from the next
+            // stage.
+            if let Some(reason) = commit.over_budget {
+                let active = self.scc.active_components(&delta_lo, &idb_stores);
+                interrupt!(reason, stage, active);
             }
         }
         eval_stats.stages = stats.len() as u64;
@@ -1651,7 +1331,6 @@ impl<'p> Evaluator<'p> {
 /// interior mutability, so the context is `Sync`.
 pub(crate) struct JoinCtx<'a> {
     pub(crate) structure: &'a Structure,
-    pub(crate) universe: usize,
     pub(crate) edb: &'a [&'a TupleStore],
     pub(crate) edb_idx: &'a [Vec<PosIndex>],
     pub(crate) idb: &'a [&'a TupleStore],
@@ -1834,11 +1513,14 @@ const MEMO_CAP: usize = 1 << 14;
 pub(crate) const EMIT_BLOCK: usize = 64;
 
 impl WorkerBuf {
-    pub(crate) fn new(idb_arities: &[usize]) -> Self {
+    /// An empty worker buffer; `counting` selects counting mode, where
+    /// every derivation is recorded with a per-tuple count (incremental
+    /// maintenance's insertion pass).
+    pub(crate) fn new(idb_arities: &[usize], counting: bool) -> Self {
         Self {
             scratch: idb_arities.iter().map(|&a| TupleStore::new(a)).collect(),
             scratch_counts: vec![Vec::new(); idb_arities.len()],
-            counting: false,
+            counting,
             emit_buf: Vec::new(),
             head_buf: Vec::new(),
             block_buf: Vec::new(),
@@ -1853,14 +1535,6 @@ impl WorkerBuf {
             pending_steps: 0,
             tripped: None,
         }
-    }
-
-    /// A worker buffer in counting mode: every derivation is recorded with
-    /// a per-tuple count (incremental maintenance's insertion pass).
-    pub(crate) fn new_counting(idb_arities: &[usize]) -> Self {
-        let mut buf = Self::new(idb_arities);
-        buf.counting = true;
-        buf
     }
 }
 
@@ -2192,7 +1866,7 @@ impl<'a, 'b> RuleJoin<'a, 'b> {
         }
         let v = rule.free_vars[free_pos];
         let slot = rule.atoms.len() + 1 + free_pos;
-        for e in 0..self.ctx.universe as Element {
+        for e in 0..self.ctx.structure.universe_size() as Element {
             self.charge()?;
             self.binding[v.0] = Some(e);
             if self.neqs_ok_at(slot) {

@@ -5,9 +5,10 @@
 //! of re-running [`crate::eval::Evaluator`] from scratch after every
 //! change. The paper's stage semantics (Theorem 3.6) is defined over a
 //! fixed structure; this module preserves it exactly — the maintenance
-//! pass runs the same global stage loop over the same three id-window
-//! relation views (`old`/`delta`/`full`), merely generalized so the EDB
-//! stores get delta windows too.
+//! pass runs its stages through the same stage executor (`crate::stage`)
+//! as from-scratch evaluation, over the same three id-window relation
+//! views (`old`/`delta`/`full`), merely generalized so the EDB stores get
+//! delta windows too.
 //!
 //! # Batch anatomy
 //!
@@ -54,15 +55,14 @@
 
 use crate::ast::{IdbId, Pred, Term, VarId};
 use crate::eval::{
-    compile_rule_pinned, evaluate_rule, index_plan, CompiledProgram, CompiledRule, DeltaPin,
-    EvalOptions, IdbAccess, JoinCtx, WorkerBuf,
+    compile_rule_pinned, index_plan, CompiledProgram, CompiledRule, DeltaPin, EvalOptions,
 };
 use crate::planner::plan_rules_with_stats;
 use crate::program::Program;
-use crate::sharded;
+use crate::sharded::{self, ShardState};
+use crate::stage::StageExec;
 use kv_structures::govern::{Governor, Interrupted};
-use kv_structures::par::{par_workers, thread_count};
-use kv_structures::store::{CardStats, EvalStats, PosIndex, TupleId, TupleStore};
+use kv_structures::store::{CardStats, EvalStats, TupleId, TupleStore};
 use kv_structures::{Element, InsertOutcome, MutableStore, PlannerMode, RelId, Structure};
 use std::cell::OnceCell;
 use std::collections::{HashMap, HashSet};
@@ -149,13 +149,13 @@ struct InsertionState {
     deleted_tuples: u64,
     rederived_tuples: u64,
     overdeleted_tuples: u64,
-    /// Shard-key assignment when the engine runs sharded (`None`
-    /// otherwise). Chosen once per batch from the committed post-deletion
-    /// EDB — a pure function of frozen state, so resumed batches re-use
-    /// the identical keys and the owner-sorted insert appends stay valid.
-    shard: Option<crate::sharded::ShardPlan>,
-    /// Tuples that crossed a shard boundary in committed stages.
-    exchanged: u64,
+    /// Sharded-run state when the engine runs sharded (`None` otherwise):
+    /// the shard keys, chosen once per batch from the committed
+    /// post-deletion EDB — a pure function of frozen state, so resumed
+    /// batches re-use the identical keys and the owner-sorted insert
+    /// appends stay valid — plus the committed deltas' owner sub-ranges
+    /// and the exchange traffic of committed stages.
+    shard: Option<ShardState>,
 }
 
 /// Where a pending batch stands.
@@ -651,7 +651,7 @@ impl IncrementalEngine {
             rederived_tuples: state.rederived_tuples,
             overdeleted_tuples: state.overdeleted_tuples,
             stage_new: state.stage_new,
-            exchanged_tuples: state.exchanged,
+            exchanged_tuples: state.shard.as_ref().map_or(0, |s| s.exchanged),
             coalesced_pairs: batch.coalesced,
             eval_stats,
         })
@@ -706,10 +706,10 @@ impl IncrementalEngine {
         // frozen state for the rest of the batch, so an interrupted batch
         // re-derives the identical assignment on resume.
         let workers = self.options.shards.map(|w| w.max(1));
-        let shard = workers.map(|_| {
+        let keys = workers.map(|_| {
             let stats: Vec<CardStats> = self.edb.iter().map(|m| m.store().card_stats()).collect();
             let edb_arities: Vec<usize> = self.edb.iter().map(|m| m.store().arity()).collect();
-            crate::sharded::choose_plan(
+            sharded::choose_plan(
                 &self.compiled.semi_variants,
                 &self.edb_variants,
                 &self.compiled.idb_arities,
@@ -722,10 +722,10 @@ impl IncrementalEngine {
         // stage 0 of the insertion pass hands every worker a contiguous
         // sub-range instead of falling back to worker 0.
         let mut order: Vec<usize> = (0..inserts.len()).collect();
-        if let (Some(w), Some(plan)) = (workers, shard.as_ref()) {
+        if let (Some(w), Some(keys)) = (workers, keys.as_ref()) {
             order.sort_by_key(|&i| {
                 let (r, t) = &inserts[i];
-                kv_structures::shard_of(t, plan.edb_keys[r.0], w)
+                kv_structures::shard_of(t, keys.edb_keys[r.0], w)
             });
         }
         let mut edb_inserted = 0u64;
@@ -739,9 +739,17 @@ impl IncrementalEngine {
                 }
             }
         }
+        let delta_lo: Vec<u32> = self.idb.iter().map(|m| m.len() as u32).collect();
+        // The owner scan of the insertion windows runs once per batch; the
+        // stage merges hand each later stage its IDB sub-ranges.
+        let shard = workers.zip(keys).map(|(w, keys)| {
+            let idb: Vec<&TupleStore> = self.idb.iter().map(|m| m.store()).collect();
+            let edb: Vec<&TupleStore> = self.edb.iter().map(|m| m.store()).collect();
+            ShardState::new(w, keys, &idb, &delta_lo, Some((&edb, &edb_delta_lo)))
+        });
         InsertionState {
             edb_delta_lo,
-            delta_lo: self.idb.iter().map(|m| m.len() as u32).collect(),
+            delta_lo,
             stage: 0,
             stage_new: Vec::new(),
             stats: plan.stats,
@@ -751,13 +759,12 @@ impl IncrementalEngine {
             rederived_tuples: plan.rederived,
             overdeleted_tuples: plan.overdeleted,
             shard,
-            exchanged: 0,
         }
     }
 
-    /// The insertion pass: the same global stage loop as
+    /// The insertion pass: the stage executor shared with
     /// [`CompiledProgram::try_run_governed`], with the EDB-delta variants
-    /// at stage one and counting-mode workers throughout.
+    /// at stage one and counting-mode merges throughout.
     fn insertion_pass(
         &mut self,
         gov: &Governor,
@@ -814,237 +821,43 @@ impl IncrementalEngine {
         }
         let (edb_positions, idb_positions) =
             index_plan(edb_rules.iter().chain(&semi_rules), edb_count, idb_count);
-        let edb_stores: Vec<&TupleStore> = edb.iter().map(|m| m.store()).collect();
-        let edb_idx: Vec<Vec<PosIndex>> = edb_stores
-            .iter()
-            .zip(&edb_positions)
-            .map(|(store, positions)| {
-                positions
-                    .iter()
-                    .map(|&p| {
-                        let mut ix = PosIndex::new(p);
-                        ix.update(store);
-                        ix
-                    })
-                    .collect()
-            })
-            .collect();
-        let mut idb_idx: Vec<Vec<PosIndex>> = idb_positions
-            .iter()
-            .zip(idb.iter())
-            .map(|(positions, m)| {
-                positions
-                    .iter()
-                    .map(|&p| {
-                        let mut ix = PosIndex::new(p);
-                        ix.update(m.store());
-                        ix
-                    })
-                    .collect()
-            })
-            .collect();
+        let facts: &[CompiledRule] = if epoch == 0 { fact_rules } else { &[] };
+        let InsertionState {
+            ref edb_delta_lo,
+            ref mut delta_lo,
+            ref mut stage,
+            ref mut stage_new,
+            ref mut stats,
+            ref mut shard,
+            ..
+        } = *st;
+        let mut exec = StageExec::new(
+            template,
+            &options,
+            edb.iter().map(|m| m.store()).collect(),
+            Some(edb_delta_lo),
+            idb,
+            (&edb_positions, &idb_positions),
+            shard.as_mut(),
+        );
         loop {
             gov.check().and_then(|()| gov.charge_stage())?;
-            let prev_len: Vec<u32> = idb.iter().map(|m| m.len() as u32).collect();
-            let live_rules: Vec<&CompiledRule> = if st.stage == 0 {
-                let mut live: Vec<&CompiledRule> = edb_rules
-                    .iter()
-                    .filter(|r| live_rule(r, edb, &st.edb_delta_lo, &prev_len, &st.delta_lo))
-                    .collect();
-                if epoch == 0 {
-                    live.extend(fact_rules.iter());
-                }
-                live
+            // Stage zero seeds from the batch's EDB insertions (and, on the
+            // first batch, the fact rules); later stages are the ordinary
+            // semi-naive IDB-delta variants.
+            let commit = if *stage == 0 {
+                exec.run_stage(edb_rules.iter().chain(facts), idb, delta_lo, stats, gov)?
             } else {
-                semi_rules
-                    .iter()
-                    .filter(|r| live_rule(r, edb, &st.edb_delta_lo, &prev_len, &st.delta_lo))
-                    .collect()
+                exec.run_stage(&semi_rules, idb, delta_lo, stats, gov)?
             };
-            let mut new_count = vec![0usize; idb_count];
-            let shard_w = options.shards.map(|w| w.max(1));
-            if let (Some(w_count), Some(splan)) = (shard_w, st.shard.as_ref()) {
-                // Sharded stage: every worker runs every live delta-pinned
-                // variant over its own owner sub-ranges of the delta
-                // windows (IDB deltas from the previous committed stage,
-                // the EDB delta from the owner-sorted batch appends), so
-                // each derivation is produced — and its support counted —
-                // by exactly one worker. Fact rules have no delta window
-                // to narrow and are partitioned round-robin instead.
-                let idb_refs: Vec<&TupleStore> = idb.iter().map(|m| m.store()).collect();
-                let idb_ranges =
-                    sharded::delta_ranges(&idb_refs, &st.delta_lo, &splan.idb_keys, w_count);
-                let edb_ranges =
-                    sharded::delta_ranges(&edb_stores, &st.edb_delta_lo, &splan.edb_keys, w_count);
-                let mut results: Vec<(WorkerBuf, sharded::RoutedDelta)> =
-                    par_workers(w_count, |w| {
-                        let ctx = JoinCtx {
-                            structure: template,
-                            universe,
-                            edb: &edb_stores,
-                            edb_idx: &edb_idx,
-                            idb: &idb_refs,
-                            idb_idx: &idb_idx,
-                            blooms: None,
-                            prev_len: &prev_len,
-                            delta_lo: &st.delta_lo,
-                            edb_delta_lo: Some(&st.edb_delta_lo),
-                            idb_delta_sub: Some(&idb_ranges[w]),
-                            edb_delta_sub: Some(&edb_ranges[w]),
-                            batched: !textual,
-                            gov,
-                        };
-                        let mut buf = WorkerBuf::new_counting(&compiled.idb_arities);
-                        for (ri, rule) in live_rules.iter().enumerate() {
-                            if rule.atoms.is_empty() && ri % w_count != w {
-                                continue;
-                            }
-                            if let Err(reason) = evaluate_rule(rule, &ctx, &mut buf) {
-                                buf.tripped = Some(reason);
-                                break;
-                            }
-                        }
-                        // Routing runs inside the worker, before the stage
-                        // barrier; the scratch arena already deduplicated
-                        // this worker's derivations into per-tuple counts.
-                        let routed = sharded::route_worker(&buf, &splan.idb_keys, w_count);
-                        (buf, routed)
-                    });
-                for (buf, _) in &mut results {
-                    if buf.tripped.is_none() && buf.pending_steps > 0 {
-                        buf.tripped = gov.step(buf.pending_steps).err();
-                        buf.pending_steps = 0;
-                    }
-                }
-                if let Some(reason) = results.iter().find_map(|(b, _)| b.tripped) {
-                    return Err(reason);
-                }
-                let mut routed = Vec::with_capacity(w_count);
-                for (buf, r) in results {
-                    st.stats.join_probes += buf.probes;
-                    st.stats.magic_probes += buf.magic_probes;
-                    st.stats.block_probes += buf.block_probes;
-                    st.stats.gallop_steps += buf.gallop_steps;
-                    st.stats.wcoj_rules += buf.wcoj_rules;
-                    st.stats.duplicate_derivations += buf.dups;
-                    routed.push(r);
-                }
-                // Owner-ordered merge: the committed delta comes out
-                // owner-contiguous, so the next stage's `delta_ranges`
-                // scan recovers each worker's sub-range for free.
-                let mut dups = 0u64;
-                sharded::merge_counting(
-                    idb,
-                    routed,
-                    w_count,
-                    &mut new_count,
-                    &mut dups,
-                    &mut st.exchanged,
-                );
-                st.stats.duplicate_derivations += dups;
-            } else {
-                let idb_refs: Vec<&TupleStore> = idb.iter().map(|m| m.store()).collect();
-                let ctx = JoinCtx {
-                    structure: template,
-                    universe,
-                    edb: &edb_stores,
-                    edb_idx: &edb_idx,
-                    idb: &idb_refs,
-                    idb_idx: &idb_idx,
-                    blooms: None,
-                    prev_len: &prev_len,
-                    delta_lo: &st.delta_lo,
-                    edb_delta_lo: Some(&st.edb_delta_lo),
-                    idb_delta_sub: None,
-                    edb_delta_sub: None,
-                    batched: !textual,
-                    gov,
-                };
-                let workers = if options.parallel {
-                    options
-                        .threads
-                        .unwrap_or_else(thread_count)
-                        .min(live_rules.len())
-                        .max(1)
-                } else {
-                    1
-                };
-                let mut buffers: Vec<WorkerBuf> = par_workers(workers, |w| {
-                    let mut buf = WorkerBuf::new_counting(&compiled.idb_arities);
-                    for rule in live_rules.iter().skip(w).step_by(workers) {
-                        if let Err(reason) = evaluate_rule(rule, &ctx, &mut buf) {
-                            buf.tripped = Some(reason);
-                            break;
-                        }
-                    }
-                    buf
-                });
-                for buf in &mut buffers {
-                    if buf.tripped.is_none() && buf.pending_steps > 0 {
-                        buf.tripped = gov.step(buf.pending_steps).err();
-                        buf.pending_steps = 0;
-                    }
-                }
-                // A tripped worker aborts the stage whole: scratch arenas
-                // and counters are discarded, the committed state is
-                // untouched, and resume recomputes the stage.
-                if let Some(reason) = buffers.iter().find_map(|b| b.tripped) {
-                    return Err(reason);
-                }
-                // Merge with counting: a tuple derived by several workers
-                // is fresh once; every recorded derivation lands in its
-                // support count.
-                for buf in buffers {
-                    st.stats.join_probes += buf.probes;
-                    st.stats.magic_probes += buf.magic_probes;
-                    st.stats.block_probes += buf.block_probes;
-                    st.stats.gallop_steps += buf.gallop_steps;
-                    st.stats.wcoj_rules += buf.wcoj_rules;
-                    st.stats.duplicate_derivations += buf.dups;
-                    for (i, (scratch, counts)) in
-                        buf.scratch.into_iter().zip(buf.scratch_counts).enumerate()
-                    {
-                        for (tid, t) in scratch.iter().enumerate() {
-                            let c = counts[tid];
-                            match idb[i].insert_with_support(t, c) {
-                                InsertOutcome::Fresh(_) => {
-                                    new_count[i] += 1;
-                                    st.stats.duplicate_derivations += (c - 1) as u64;
-                                }
-                                InsertOutcome::Bumped(_) => {
-                                    st.stats.duplicate_derivations += c as u64;
-                                }
-                                InsertOutcome::Revived(_) => {
-                                    debug_assert!(false, "no dead tuples during insertion");
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            st.stage += 1;
-            let any_new = new_count.iter().any(|&c| c > 0);
-            if !any_new {
+            *stage += 1;
+            if commit.is_fixpoint() {
                 return Ok(());
             }
-            let new_total: u64 = new_count.iter().map(|&c| c as u64).sum();
-            let new_bytes: u64 = new_count
-                .iter()
-                .zip(&compiled.idb_arities)
-                .map(|(&c, &a)| c as u64 * a.max(1) as u64 * 4)
-                .sum();
-            st.stats.tuples_interned += new_total;
-            st.stage_new.push(new_count);
-            st.delta_lo.copy_from_slice(&prev_len);
-            for (m, ixs) in idb.iter().zip(idb_idx.iter_mut()) {
-                for ix in ixs {
-                    ix.update(m.store());
-                }
+            stage_new.push(commit.new_tuples);
+            if let Some(reason) = commit.over_budget {
+                return Err(reason);
             }
-            // Budgets charge after the stage commits, so the pending
-            // state includes it and resume continues from the next stage.
-            gov.charge_tuples(new_total)
-                .and_then(|()| gov.charge_bytes(new_bytes))?;
         }
     }
 }
@@ -1946,34 +1759,6 @@ fn collect_fresh(
     entry.extend(fresh);
     entry.sort_unstable();
     entry.dedup();
-}
-
-/// Whether a rule variant can derive anything this stage: every atom's
-/// window must be non-empty (see the from-scratch loop's sharpened
-/// cost-based filter; sound in counting mode because a filtered variant
-/// derives nothing and therefore contributes no support).
-fn live_rule(
-    rule: &CompiledRule,
-    edb: &[MutableStore],
-    edb_delta_lo: &[u32],
-    prev_len: &[u32],
-    delta_lo: &[u32],
-) -> bool {
-    rule.atoms.iter().all(|atom| match atom.pred {
-        Pred::Edb(r) => {
-            let len = edb[r.0].len() as u32;
-            match atom.access {
-                IdbAccess::Delta => edb_delta_lo[r.0] < len,
-                IdbAccess::Old => edb_delta_lo[r.0] > 0,
-                IdbAccess::Full => len > 0,
-            }
-        }
-        Pred::Idb(i) => match atom.access {
-            IdbAccess::Delta => delta_lo[i.0] < prev_len[i.0],
-            IdbAccess::Old => delta_lo[i.0] > 0,
-            IdbAccess::Full => prev_len[i.0] > 0,
-        },
-    })
 }
 
 #[cfg(test)]

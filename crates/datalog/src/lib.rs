@@ -46,6 +46,7 @@ pub mod planner;
 pub mod program;
 pub mod programs;
 pub mod sharded;
+pub(crate) mod stage;
 pub(crate) mod wcoj;
 
 pub use ast::{IdbId, Literal, Pred, Rule, Term, VarId};

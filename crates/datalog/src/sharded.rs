@@ -2,29 +2,33 @@
 //!
 //! Sharding partitions each stage's *delta* across `W` workers by tuple
 //! ownership — [`kv_structures::shard_of`] over one planner-chosen key
-//! position per predicate — instead of partitioning rules. Every worker
-//! runs the full live-rule set of the stage, but its [`JoinCtx`] narrows
-//! each pinned `Δ` window to the worker's owner sub-range, so the workers'
-//! derivation sets partition the stage's derivations exactly (each
-//! semi-naive variant pins exactly one delta atom, and each delta tuple
-//! has exactly one owner). Derived tuples are then routed *by the owner of
-//! the derived tuple*: tuples a worker owns stay local, the rest cross the
-//! [`DeltaExchange`] at the stage barrier. The merge drains exchange
-//! inboxes in (owner, sender) order, which keeps every committed delta
-//! owner-contiguous — the next stage's sub-ranges are just id ranges, and
-//! resuming from a checkpoint recomputes them by scanning owners.
+//! position per predicate — instead of partitioning rules. This module
+//! holds the sharding decisions; the stages themselves run in the one
+//! stage executor (`crate::stage`), where sharding differs from the
+//! threaded scheme only in how work is partitioned. Every worker runs the
+//! full live-rule set of the stage, but its `JoinCtx` narrows each pinned
+//! `Δ` window to the worker's owner sub-range, so the workers' derivation sets partition the
+//! stage's derivations exactly (each semi-naive variant pins exactly one
+//! delta atom, and each delta tuple has exactly one owner). Derived tuples
+//! are then routed *by the owner of the derived tuple* (`route_worker`):
+//! tuples a worker owns stay local, the rest cross workers at the stage
+//! barrier. The executor's merge drains the routes in (owner, sender)
+//! order, which keeps every committed delta owner-contiguous — the next
+//! stage's sub-ranges are just id ranges, returned by the merge, and
+//! resuming from a checkpoint recomputes them by scanning owners
+//! (`delta_ranges`).
 //!
 //! The global stage loop — and with it the paper's Theorem 3.6 stage
 //! semantics — is untouched: the stage barrier is the only synchronization
-//! point, the merge is still a set union, and the committed stage sets are
+//! point, the merge is still a union (counting supports in maintenance),
+//! and the committed stage sets are
 //! identical for every `W` (pinned by `tests/sharded.rs` across programs ×
 //! lowerings × magic binding patterns × W ∈ {1, 2, 4, 8}).
 
 use crate::ast::{Pred, Term};
 use crate::eval::{CompiledRule, IdbAccess, WorkerBuf};
-use kv_structures::mutable::InsertOutcome;
-use kv_structures::shard::{shard_of, DeltaExchange, ShardKey};
-use kv_structures::{CardStats, Element, IdRange, MutableStore, TupleStore};
+use kv_structures::shard::{shard_of, ShardKey};
+use kv_structures::{CardStats, IdRange, TupleStore};
 
 /// Aggregate statistics of one sharded run, surfaced on
 /// [`EvalResult`](crate::EvalResult) (and folded into bench reports as
@@ -76,7 +80,7 @@ pub(crate) struct ShardPlan {
 
 /// The pinned delta atom of a semi-naive variant (each variant has at most
 /// one; naive and fact rules have none).
-fn delta_atom(rule: &CompiledRule) -> Option<&crate::eval::JoinAtom> {
+pub(crate) fn delta_atom(rule: &CompiledRule) -> Option<&crate::eval::JoinAtom> {
     rule.atoms.iter().find(|a| a.access == IdbAccess::Delta)
 }
 
@@ -209,8 +213,8 @@ pub(crate) fn choose_plan(
     }
 }
 
-/// Mutable sharded-run state carried across stages by the stage loop.
-#[derive(Debug)]
+/// Mutable sharded-run state carried across stages by the stage executor.
+#[derive(Debug, Clone)]
 pub(crate) struct ShardState {
     pub(crate) workers: usize,
     pub(crate) plan: ShardPlan,
@@ -218,6 +222,10 @@ pub(crate) struct ShardState {
     /// current delta window. Owner-contiguous by construction of the
     /// merge; recomputed by owner scan when resuming from a checkpoint.
     pub(crate) ranges: Vec<Vec<IdRange>>,
+    /// `edb_ranges[w][rel]`: worker `w`'s owned sub-range of each EDB
+    /// relation's batch-insertion window (incremental maintenance only;
+    /// empty from scratch, where EDB atoms have no delta window).
+    pub(crate) edb_ranges: Vec<Vec<IdRange>>,
     /// Tuples merged under each worker's ownership, across stages.
     pub(crate) owned: Vec<u64>,
     /// Tuples that crossed worker boundaries at stage barriers.
@@ -225,6 +233,30 @@ pub(crate) struct ShardState {
 }
 
 impl ShardState {
+    /// Sharded-run state over committed stores: each delta window's owner
+    /// sub-ranges are recovered by scanning owners — the IDB windows
+    /// `[delta_lo, len)`, and with `edb` the EDB insertion windows too.
+    pub(crate) fn new(
+        workers: usize,
+        plan: ShardPlan,
+        idb: &[&TupleStore],
+        delta_lo: &[u32],
+        edb: Option<(&[&TupleStore], &[u32])>,
+    ) -> Self {
+        let ranges = delta_ranges(idb, delta_lo, &plan.idb_keys, workers);
+        let edb_ranges = edb.map_or_else(Vec::new, |(stores, lo)| {
+            delta_ranges(stores, lo, &plan.edb_keys, workers)
+        });
+        ShardState {
+            workers,
+            plan,
+            ranges,
+            edb_ranges,
+            owned: vec![0; workers],
+            exchanged: 0,
+        }
+    }
+
     pub(crate) fn stats(&self) -> ShardStats {
         let local_variants = self.plan.local.iter().filter(|&&l| l).count();
         ShardStats {
@@ -238,8 +270,10 @@ impl ShardState {
     }
 
     /// Folds a stage's committed owner ranges into the per-worker load
-    /// counters and installs them as the next stage's delta sub-ranges.
-    pub(crate) fn commit_stage(&mut self, next: Vec<Vec<IdRange>>) {
+    /// counters, installs them as the next stage's delta sub-ranges, and
+    /// adds the stage's exchange traffic.
+    pub(crate) fn commit_stage(&mut self, next: Vec<Vec<IdRange>>, exchanged: u64) {
+        self.exchanged += exchanged;
         for (w, per_pred) in next.iter().enumerate() {
             self.owned[w] += per_pred
                 .iter()
@@ -256,7 +290,7 @@ impl ShardState {
 /// committed by some *other* configuration (an unsharded checkpoint, a
 /// different W) falls back to assigning the whole window to worker 0 —
 /// correct for one stage, after which the merge restores owner order.
-pub(crate) fn delta_ranges(
+fn delta_ranges(
     stores: &[&TupleStore],
     delta_lo: &[u32],
     keys: &[ShardKey],
@@ -299,182 +333,25 @@ pub(crate) fn delta_ranges(
     ranges
 }
 
-/// One worker's routed stage output: per predicate, per destination
-/// worker, the flat (arity-strided) derived tuples — plus parallel
-/// derivation counts in counting mode, and a separate derivation tally
-/// for nullary predicates (whose owner is always worker 0).
-#[derive(Debug)]
-pub(crate) struct RoutedDelta {
-    pub(crate) tuples: Vec<Vec<Vec<Element>>>,
-    pub(crate) counts: Vec<Vec<Vec<u32>>>,
-    pub(crate) nullary: Vec<u32>,
-}
+/// One worker's routed stage output: `routes[pred][owner]` lists the ids
+/// of the worker's scratch-arena tuples that `owner` owns, in arena order.
+pub(crate) type Routes = Vec<Vec<Vec<u32>>>;
 
 /// Partitions a worker's scratch arenas by the owner of each derived
-/// tuple. Runs inside the worker (before the stage barrier), so routing
-/// itself is parallel; the scratch arena already deduplicated this
-/// worker's derivations, so each tuple crosses the exchange at most once
-/// per worker.
-pub(crate) fn route_worker(buf: &WorkerBuf, keys: &[ShardKey], workers: usize) -> RoutedDelta {
-    let preds = buf.scratch.len();
-    let mut routed = RoutedDelta {
-        tuples: (0..preds).map(|_| vec![Vec::new(); workers]).collect(),
-        counts: (0..preds).map(|_| vec![Vec::new(); workers]).collect(),
-        nullary: vec![0; preds],
-    };
-    for (p, scratch) in buf.scratch.iter().enumerate() {
-        let arity = scratch.arity();
-        if arity == 0 {
-            for (id, _) in scratch.iter().enumerate() {
-                routed.nullary[p] += if buf.counting {
-                    buf.scratch_counts[p][id]
-                } else {
-                    1
-                };
+/// tuple (nullary tuples belong to worker 0). Runs inside the worker
+/// (before the stage barrier), so routing itself is parallel; the scratch
+/// arena already deduplicated this worker's derivations, so each tuple
+/// crosses the exchange at most once per worker.
+pub(crate) fn route_worker(buf: &WorkerBuf, keys: &[ShardKey], workers: usize) -> Routes {
+    buf.scratch
+        .iter()
+        .zip(keys)
+        .map(|(scratch, &key)| {
+            let mut per_owner = vec![Vec::new(); workers];
+            for (id, tuple) in scratch.iter().enumerate() {
+                per_owner[shard_of(tuple, key, workers)].push(id as u32);
             }
-            continue;
-        }
-        for (id, tuple) in scratch.iter().enumerate() {
-            let dest = shard_of(tuple, keys[p], workers);
-            routed.tuples[p][dest].extend_from_slice(tuple);
-            if buf.counting {
-                routed.counts[p][dest].push(buf.scratch_counts[p][id]);
-            }
-        }
-    }
-    routed
-}
-
-/// Owner-ordered set-mode merge (from-scratch evaluation): seals each
-/// predicate's per-worker outboxes into a [`DeltaExchange`], then interns
-/// every owner's inbox in (owner, sender) order. The committed delta is
-/// owner-contiguous; the returned ranges are the next stage's per-worker
-/// delta sub-ranges. Cross-worker duplicate derivations land in `dups`,
-/// exchange traffic in `exchanged`.
-pub(crate) fn merge_set(
-    idb_stores: &mut [TupleStore],
-    mut routed: Vec<RoutedDelta>,
-    workers: usize,
-    new_count: &mut [usize],
-    dups: &mut u64,
-    exchanged: &mut u64,
-) -> Vec<Vec<IdRange>> {
-    let preds = idb_stores.len();
-    let mut ranges = vec![vec![IdRange { start: 0, end: 0 }; preds]; workers];
-    for p in 0..preds {
-        let store = &mut idb_stores[p];
-        let arity = store.arity();
-        if arity == 0 {
-            let derivations: u32 = routed.iter().map(|r| r.nullary[p]).sum();
-            let start = store.len() as u32;
-            if derivations > 0 {
-                let fresh = store.intern(&[]).1;
-                if fresh {
-                    new_count[p] += 1;
-                }
-                *dups += u64::from(derivations) - u64::from(fresh);
-            }
-            for (w, row) in ranges.iter_mut().enumerate() {
-                let end = store.len() as u32;
-                row[p] = if w == 0 {
-                    IdRange { start, end }
-                } else {
-                    IdRange { start: end, end }
-                };
-            }
-            continue;
-        }
-        let matrix: Vec<Vec<Vec<Element>>> = routed
-            .iter_mut()
-            .map(|r| std::mem::take(&mut r.tuples[p]))
-            .collect();
-        let exchange = DeltaExchange::seal(arity, matrix);
-        *exchanged += exchange.exchanged();
-        for (w, row) in ranges.iter_mut().enumerate() {
-            let start = store.len() as u32;
-            for block in exchange.inbox(w) {
-                let tuples = block.len() / arity;
-                let fresh = store.extend_block(block);
-                new_count[p] += fresh;
-                *dups += (tuples - fresh) as u64;
-            }
-            row[p] = IdRange {
-                start,
-                end: store.len() as u32,
-            };
-        }
-    }
-    ranges
-}
-
-/// Owner-ordered counting-mode merge (incremental maintenance): like
-/// [`merge_set`] but into [`MutableStore`]s, crediting each tuple's
-/// support with its routed derivation count. The exchange matrices carry
-/// parallel count blocks, so this drains them directly instead of going
-/// through [`DeltaExchange`].
-pub(crate) fn merge_counting(
-    idb: &mut [MutableStore],
-    routed: Vec<RoutedDelta>,
-    workers: usize,
-    new_count: &mut [usize],
-    dups: &mut u64,
-    exchanged: &mut u64,
-) -> Vec<Vec<IdRange>> {
-    let preds = idb.len();
-    let mut ranges = vec![vec![IdRange { start: 0, end: 0 }; preds]; workers];
-    for p in 0..preds {
-        let arity = idb[p].store().arity();
-        if arity == 0 {
-            let derivations: u64 = routed.iter().map(|r| u64::from(r.nullary[p])).sum();
-            let start = idb[p].len() as u32;
-            if derivations > 0 {
-                // Nullary derivations all route to worker 0; support gets
-                // every derivation.
-                match idb[p].insert_with_support(&[], derivations as u32) {
-                    InsertOutcome::Fresh(_) => {
-                        new_count[p] += 1;
-                        *dups += derivations - 1;
-                    }
-                    _ => *dups += derivations,
-                }
-            }
-            for (w, row) in ranges.iter_mut().enumerate() {
-                let end = idb[p].len() as u32;
-                row[p] = if w == 0 {
-                    IdRange { start, end }
-                } else {
-                    IdRange { start: end, end }
-                };
-            }
-            continue;
-        }
-        for (w, row) in ranges.iter_mut().enumerate().take(workers) {
-            let start = idb[p].len() as u32;
-            for (sender, r) in routed.iter().enumerate() {
-                let block = &r.tuples[p][w];
-                let counts = &r.counts[p][w];
-                if sender != w {
-                    *exchanged += (block.len() / arity) as u64;
-                }
-                for (tid, tuple) in block.chunks_exact(arity).enumerate() {
-                    let c = counts[tid];
-                    match idb[p].insert_with_support(tuple, c) {
-                        InsertOutcome::Fresh(_) => {
-                            new_count[p] += 1;
-                            *dups += u64::from(c) - 1;
-                        }
-                        InsertOutcome::Bumped(_) => *dups += u64::from(c),
-                        InsertOutcome::Revived(_) => {
-                            debug_assert!(false, "no dead tuples during insertion");
-                        }
-                    }
-                }
-            }
-            row[p] = IdRange {
-                start,
-                end: idb[p].len() as u32,
-            };
-        }
-    }
-    ranges
+            per_owner
+        })
+        .collect()
 }

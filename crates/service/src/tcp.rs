@@ -20,11 +20,15 @@
 //! INTERRUPTED <limit|deadline|cancelled>
 //! ERR <message>
 //! ```
+//!
+//! A request line longer than `MAX_REQUEST_LINE` (64 KiB) is answered with
+//! `ERR request line too long` and its connection is closed, so no client
+//! can make the server buffer an unbounded line.
 
 use crate::qos::TenantId;
 use crate::service::{QueryService, Request, Response};
 use kv_structures::Interrupted;
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -33,6 +37,9 @@ use std::time::Duration;
 
 /// How often blocked accept/read loops re-check the shutdown flag.
 const POLL: Duration = Duration::from_millis(10);
+
+/// The longest request line, in bytes, without its newline.
+const MAX_REQUEST_LINE: usize = 64 * 1024;
 
 /// The TCP front end; see the [module docs](self) for the protocol.
 pub struct TcpServer;
@@ -124,10 +131,17 @@ fn handle_connection(
     while !stop.load(Ordering::SeqCst) {
         // `read_line` appends, so a request split across read timeouts
         // accumulates in `line` until its newline arrives; the buffer is
-        // cleared only after a complete line is processed.
-        match reader.read_line(&mut line) {
+        // cleared only after a complete line is processed. Each read stops
+        // one byte past the cap, which is how an overlong line shows.
+        let room = (MAX_REQUEST_LINE + 1).saturating_sub(line.len()) as u64;
+        match (&mut reader).take(room).read_line(&mut line) {
             Ok(0) => break,
             Ok(_) if line.ends_with('\n') => {}
+            Ok(_) if line.len() > MAX_REQUEST_LINE => {
+                writer.write_all(b"ERR request line too long\n")?;
+                writer.flush()?;
+                break;
+            }
             Ok(_) => break, // EOF mid-line: drop the fragment
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => continue,
             Err(e) => return Err(e),
@@ -261,6 +275,47 @@ mod tests {
         );
 
         roundtrip(&mut client, "QUIT"); // no reply expected; next read hits EOF
+        handle.shutdown();
+    }
+
+    #[test]
+    fn overlong_request_line_is_refused_and_closed() {
+        let mut builder = ServiceBuilder::new(&directed_path(4));
+        builder.register_query(
+            "tc",
+            ProgramQuery::at_tuple("tc", transitive_closure(), vec![0, 3]),
+        );
+        builder.register_tenant(TenantPolicy::unlimited("t0"));
+        let handle = TcpServer::bind(Arc::new(builder.build()), "127.0.0.1:0").unwrap();
+
+        // One byte past the cap and no newline: the server must answer
+        // without waiting for the line to end, then close the connection.
+        let mut flood = TcpStream::connect(handle.addr()).unwrap();
+        flood
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        flood.write_all(&vec![b'x'; MAX_REQUEST_LINE + 1]).unwrap();
+        flood.flush().unwrap();
+        let mut reader = BufReader::new(flood.try_clone().unwrap());
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        assert_eq!(reply, "ERR request line too long\n");
+        reply.clear();
+        assert_eq!(
+            reader.read_line(&mut reply).unwrap(),
+            0,
+            "connection closed"
+        );
+
+        // A line of exactly the cap is still read whole (and rejected by
+        // the parser, not the transport), and other clients are served.
+        let mut client = TcpStream::connect(handle.addr()).unwrap();
+        let long = "x".repeat(MAX_REQUEST_LINE);
+        assert!(roundtrip(&mut client, &long).starts_with("ERR unknown verb"));
+        assert_eq!(
+            roundtrip(&mut client, "Q 0 tc 0 3"),
+            "ANSWER true epoch=0 cached=0"
+        );
         handle.shutdown();
     }
 }

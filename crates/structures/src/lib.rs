@@ -56,7 +56,7 @@ pub use plan::{
     QueryCache, QueryPlan, StructureId, StructureRegistry,
 };
 pub use rng::SplitMix64;
-pub use shard::{shard_of, DeltaExchange, ShardKey, ShardedStore};
+pub use shard::{shard_of, ShardKey, ShardedStore};
 pub use store::{
     gallop, gallop_intersect, gallop_intersect2, gallop_scalar, tuple_hash, CardStats, EvalStats,
     IdRange, LimitExceeded, Limits, PosIndex, StoreView, TupleBloom, TupleId, TupleStore,

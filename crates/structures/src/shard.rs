@@ -1,21 +1,13 @@
-//! Hash-partitioned relation shards and the inter-worker delta exchange.
+//! Hash-partitioned relation shards.
 //!
 //! Sharded evaluation partitions *ownership* of tuples across `W` workers
 //! by hashing one planner-chosen key position (the [`ShardKey`]): worker
-//! [`shard_of`]`(tuple, key, W)` owns the tuple. The two primitives here
-//! are deliberately small and synchronization-free:
-//!
-//! - [`ShardedStore`]: `W` hash-partitioned [`MutableStore`] shards, each
-//!   with its own arena, intern table, and id-space. Mutations route to
-//!   the owning shard; every tuple lives in exactly one shard (pinned by
-//!   property tests).
-//! - [`DeltaExchange`]: the router for tuples a worker derived but does
-//!   not own. Workers fill per-destination outboxes privately during a
-//!   stage; at the stage barrier the outboxes are *sealed* into one
-//!   exchange and each owner drains its inbox while merging. The barrier
-//!   is the only synchronization point — no locks, no channels — which is
-//!   exactly why the global stage loop (and with it the paper's Theorem
-//!   3.6 stage semantics) survives sharding unchanged.
+//! [`shard_of`]`(tuple, key, W)` owns the tuple. [`ShardedStore`] keeps
+//! `W` hash-partitioned [`MutableStore`] shards, each with its own arena,
+//! intern table, and id-space. Mutations route to the owning shard; every
+//! tuple lives in exactly one shard (pinned by property tests). The
+//! inter-worker delta exchange of sharded stages lives in the engine's
+//! stage executor, which routes scratch-arena tuple ids by [`shard_of`].
 
 use crate::mutable::{InsertOutcome, MutableStore, RetractOutcome};
 use crate::store::mix64;
@@ -182,74 +174,6 @@ impl ShardedStore {
     }
 }
 
-/// The sealed inter-worker delta exchange of one stage, for one relation.
-///
-/// During a stage each worker privately fills `W` per-destination outboxes
-/// (flat, arity-strided tuple blocks — already interned in the sender's
-/// scratch arena, so each tuple crosses at most once). At the stage
-/// barrier the per-worker outboxes are *sealed* into a `DeltaExchange`;
-/// owners then drain their inboxes in sender order, which makes the merged
-/// delta deterministic for any worker interleaving. Sealing is a move, not
-/// a copy, and there is no other synchronization.
-#[derive(Debug)]
-pub struct DeltaExchange {
-    /// `sealed[sender][dest]`: flat tuples routed from `sender` to `dest`.
-    sealed: Vec<Vec<Vec<Element>>>,
-    arity: usize,
-    exchanged: u64,
-}
-
-impl DeltaExchange {
-    /// Seals per-worker outboxes (`outboxes[sender][dest]`, flat
-    /// arity-strided tuples) into an exchange. Tuples a worker routed to
-    /// itself are *not* counted as exchanged.
-    ///
-    /// # Panics
-    /// Panics if the outbox matrix is not `W × W` or a block is not
-    /// arity-aligned.
-    pub fn seal(arity: usize, outboxes: Vec<Vec<Vec<Element>>>) -> Self {
-        let workers = outboxes.len();
-        let stride = arity.max(1);
-        let mut exchanged = 0u64;
-        for (sender, row) in outboxes.iter().enumerate() {
-            assert_eq!(row.len(), workers, "outbox matrix must be W × W");
-            for (dest, block) in row.iter().enumerate() {
-                assert_eq!(block.len() % stride, 0, "outbox block misaligned");
-                if dest != sender {
-                    exchanged += (block.len() / stride) as u64;
-                }
-            }
-        }
-        DeltaExchange {
-            sealed: outboxes,
-            arity,
-            exchanged,
-        }
-    }
-
-    /// Number of workers.
-    pub fn workers(&self) -> usize {
-        self.sealed.len()
-    }
-
-    /// Tuples that crossed worker boundaries (self-routed tuples excluded).
-    pub fn exchanged(&self) -> u64 {
-        self.exchanged
-    }
-
-    /// Drains worker `dest`'s inbox: the flat tuple blocks addressed to
-    /// it, in sender order. Each block is arity-strided; iterate with
-    /// `chunks_exact(arity)`.
-    pub fn inbox(&self, dest: usize) -> impl Iterator<Item = &[Element]> {
-        self.sealed.iter().map(move |row| row[dest].as_slice())
-    }
-
-    /// Tuple arity of the exchanged relation.
-    pub fn arity(&self) -> usize {
-        self.arity
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -348,23 +272,5 @@ mod tests {
                 assert!(sharded.contains_live(t));
             }
         }
-    }
-
-    #[test]
-    fn exchange_seals_and_counts_cross_worker_tuples() {
-        let workers = 3usize;
-        let arity = 2usize;
-        // outboxes[sender][dest]
-        let mut outboxes = vec![vec![Vec::new(); workers]; workers];
-        outboxes[0][0].extend_from_slice(&[1, 2]); // self-routed: not exchanged
-        outboxes[0][2].extend_from_slice(&[3, 4, 5, 6]); // two tuples cross
-        outboxes[1][2].extend_from_slice(&[7, 8]);
-        let exchange = DeltaExchange::seal(arity, outboxes);
-        assert_eq!(exchange.workers(), workers);
-        assert_eq!(exchange.exchanged(), 3);
-        let inbox2: Vec<&[Element]> = exchange.inbox(2).collect();
-        assert_eq!(inbox2, vec![&[3, 4, 5, 6][..], &[7, 8][..], &[][..]]);
-        let inbox1: Vec<Element> = exchange.inbox(1).flatten().copied().collect();
-        assert!(inbox1.is_empty());
     }
 }

@@ -100,6 +100,8 @@ impl ServiceBenchConfig {
 /// What one client thread observed.
 struct ClientStats {
     latencies: Vec<Duration>,
+    /// `serve` time of each answer that missed the cache (no queueing).
+    miss_evals: Vec<Duration>,
     answered: u64,
     rejected: u64,
     interrupted: u64,
@@ -111,6 +113,9 @@ pub struct ServiceRunStats {
     cfg: ServiceBenchConfig,
     elapsed: Duration,
     latencies: Vec<Duration>,
+    /// Sorted `serve` times of the answers that missed the cache: one
+    /// governed demand evaluation over the snapshot each.
+    miss_evals: Vec<Duration>,
     answered: u64,
     rejected: u64,
     interrupted: u64,
@@ -145,12 +150,16 @@ impl ServiceRunStats {
     }
 
     fn percentile(&self, p: f64) -> Duration {
-        if self.latencies.is_empty() {
-            return Duration::ZERO;
-        }
-        let idx = ((self.latencies.len() - 1) as f64 * p).round() as usize;
-        self.latencies[idx]
+        percentile(&self.latencies, p)
     }
+}
+
+/// The `p`-quantile of sorted `samples` (zero when empty).
+fn percentile(samples: &[Duration], p: f64) -> Duration {
+    if samples.is_empty() {
+        return Duration::ZERO;
+    }
+    samples[((samples.len() - 1) as f64 * p).round() as usize]
 }
 
 /// Runs the mixed read/write multi-tenant workload and gathers stats.
@@ -250,6 +259,8 @@ pub fn run_service_bench(cfg: ServiceBenchConfig, cfg_name: &'static str) -> Ser
     let elapsed = start.elapsed();
     let mut latencies: Vec<Duration> = clients.iter().flat_map(|c| c.latencies.clone()).collect();
     latencies.sort_unstable();
+    let mut miss_evals: Vec<Duration> = clients.iter().flat_map(|c| c.miss_evals.clone()).collect();
+    miss_evals.sort_unstable();
     let metrics = svc.metrics();
     let pop_range = 0..cfg.popular_tenants;
     let popular_agg = metrics.tenants[pop_range]
@@ -267,6 +278,7 @@ pub fn run_service_bench(cfg: ServiceBenchConfig, cfg_name: &'static str) -> Ser
         cfg_name,
         elapsed,
         latencies,
+        miss_evals,
         answered: clients.iter().map(|c| c.answered).sum(),
         rejected: clients.iter().map(|c| c.rejected).sum(),
         interrupted: clients.iter().map(|c| c.interrupted).sum(),
@@ -290,6 +302,7 @@ fn open_loop(
 ) -> ClientStats {
     let mut stats = ClientStats {
         latencies: Vec::with_capacity(cfg.requests_per_client),
+        miss_evals: Vec::new(),
         answered: 0,
         rejected: 0,
         interrupted: 0,
@@ -302,14 +315,21 @@ fn open_loop(
             std::thread::sleep(scheduled - now);
         }
         let tuple = next_tuple(j);
+        let served = Instant::now();
         let response = svc.serve(&Request {
             tenant,
             query,
             tuple,
         });
+        let service = served.elapsed();
         stats.latencies.push(scheduled.elapsed());
         match response {
-            Response::Answer { .. } => stats.answered += 1,
+            Response::Answer { cached, .. } => {
+                stats.answered += 1;
+                if !cached {
+                    stats.miss_evals.push(service);
+                }
+            }
             Response::Rejected(_) => stats.rejected += 1,
             Response::Interrupted(_) => stats.interrupted += 1,
         }
@@ -348,6 +368,7 @@ pub fn render_service_report(stats: &ServiceRunStats) -> String {
         .num("sustained_qps", format!("{:.1}", stats.sustained_qps()))
         .num("p50_ms", ms(stats.percentile(0.50)))
         .num("p99_ms", ms(stats.percentile(0.99)))
+        .num("miss_eval_p50_ms", ms(percentile(&stats.miss_evals, 0.50)))
         .num("answered", stats.answered)
         .num("admission_rejected", stats.rejected)
         .num("interrupted", stats.interrupted)

@@ -565,8 +565,8 @@ impl ProgramQuery {
     fn patch_cache(&self, engine: &IncrementalEngine) {
         let mut cache = self.lock_cache();
         cache.bump_epoch();
-        cache.insert(
-            &engine.edb_structure(),
+        cache.insert_fingerprint(
+            engine.edb_fingerprint(),
             &self.goal_tuple,
             engine.goal_contains(&self.goal_tuple),
         );

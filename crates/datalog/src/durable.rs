@@ -1030,6 +1030,51 @@ mod tests {
     }
 
     #[test]
+    fn maintained_edb_fingerprint_matches_the_materialized_edb() {
+        use kv_structures::structure_fingerprint;
+        let program = transitive_closure();
+        let template = random_digraph(9, 0.2, 13).to_structure();
+        let check = |e: &IncrementalEngine, label: &str| {
+            assert_eq!(
+                e.edb_fingerprint(),
+                structure_fingerprint(&e.edb_structure()),
+                "{label}"
+            );
+        };
+        let dir = temp_dir("fingerprint");
+        let opts = DurabilityOptions {
+            checkpoint_every: 3,
+            ..DurabilityOptions::default()
+        };
+        // Retractions kill tuples and compact the stores; repeated inserts
+        // only bump support.
+        let batches = edge_batches(77, 9, 14);
+        {
+            let mut d = DurableEngine::open(
+                &program,
+                &template,
+                EvalOptions::default(),
+                &dir,
+                opts.clone(),
+            )
+            .expect("open fresh");
+            check(d.engine(), "fresh");
+            for (i, (ins, ret)) in batches.iter().enumerate() {
+                d.apply_batch(ins, ret).expect("apply");
+                check(d.engine(), &format!("after batch {i}"));
+            }
+        }
+        // Reopen restores the last checkpoint's snapshot and replays the
+        // WAL suffix above it.
+        let d = DurableEngine::open(&program, &template, EvalOptions::default(), &dir, opts)
+            .expect("reopen");
+        assert!(d.recovery().checkpoint_epoch > 0);
+        assert!(d.recovery().replayed_batches > 0);
+        check(d.engine(), "reopened");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn checkpoints_prune_old_generations_and_replay_less() {
         let program = avoiding_path();
         let template = random_digraph(8, 0.25, 5).to_structure();

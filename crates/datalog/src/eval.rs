@@ -18,9 +18,11 @@
 //! single store — `old = [0, delta_lo)`, `delta = [delta_lo, prev_len)`,
 //! `full = [0, prev_len)` — with no per-stage snapshot clones. EDB
 //! relations are joined directly out of the structure's own stores
-//! (zero-copy). Per-position [`PosIndex`]es are built once and *extended*
-//! after each stage; range-restricted probes are `partition_point`
-//! sub-slices of their sorted posting lists. Each atom's probe position is
+//! (zero-copy) and probed through the structure's shared per-relation
+//! [`FrozenIndex`]es, built once per structure rather than once per run.
+//! IDB [`PosIndex`]es are built once per run and *extended* after each
+//! stage; range-restricted probes are `partition_point` sub-slices of
+//! their sorted posting lists. Each atom's probe position is
 //! chosen **statically** at rule-compile time.
 //!
 //! Programs are compiled **once** — [`Evaluator::new`] (or
@@ -52,8 +54,8 @@ use crate::stage::StageExec;
 use crate::wcoj::{self, GenericPlan};
 use kv_structures::govern::{Budget, Governor, Interrupted};
 use kv_structures::store::{
-    gallop_intersect, tuple_hash, EvalStats, IdRange, LimitExceeded, Limits, PosIndex, StoreView,
-    TupleBloom, TupleId, TupleStore,
+    gallop_intersect, tuple_hash, EvalStats, FrozenIndex, IdRange, LimitExceeded, Limits, PosIndex,
+    StoreView, TupleBloom, TupleId, TupleStore,
 };
 use kv_structures::{Element, JoinLowering, PlannerMode, Relation, Structure, Vocabulary};
 use std::collections::{HashMap, HashSet};
@@ -1129,13 +1131,6 @@ impl CompiledProgram {
             active_sccs: _,
         } = cp;
 
-        // EDB stores are the structure's own relation stores (zero-copy).
-        let edb_stores: Vec<&TupleStore> = self
-            .vocabulary
-            .relations()
-            .map(|r| structure.relation(r).store())
-            .collect();
-
         // Sharded execution state: shard keys are a pure function of the
         // compiled variants and the EDB statistics (resumed runs re-derive
         // them identically), and the per-worker delta sub-ranges are
@@ -1143,9 +1138,14 @@ impl CompiledProgram {
         // interrupts discard partial stages whole, so a checkpoint never
         // holds in-flight exchange tuples.
         let mut shard_state: Option<sharded::ShardState> = options.shards.map(|w| {
+            let edb: Vec<&TupleStore> = self
+                .vocabulary
+                .relations()
+                .map(|r| structure.relation(r).store())
+                .collect();
             let edb_stats: Vec<kv_structures::CardStats> =
-                edb_stores.iter().map(|s| s.card_stats()).collect();
-            let edb_arities: Vec<usize> = edb_stores.iter().map(|s| s.arity()).collect();
+                edb.iter().map(|s| s.card_stats()).collect();
+            let edb_arities: Vec<usize> = edb.iter().map(|s| s.arity()).collect();
             let plan = sharded::choose_plan(
                 semi_variants,
                 &[],
@@ -1156,10 +1156,11 @@ impl CompiledProgram {
             let idb_refs: Vec<&TupleStore> = idb_stores.iter().collect();
             sharded::ShardState::new(w.max(1), plan, &idb_refs, &delta_lo, None)
         });
+        // The EDB is the structure's own relations (zero-copy), probed
+        // through their shared index cache.
         let mut exec = StageExec::new(
             structure,
             &options,
-            edb_stores,
             None,
             &idb_stores,
             (edb_positions, idb_positions),
@@ -1327,14 +1328,14 @@ impl<'p> Evaluator<'p> {
 }
 
 /// The read-only per-stage join context shared by all workers. Everything
-/// here is borrowed immutably; [`TupleStore`] and [`PosIndex`] have no
+/// here is borrowed immutably; [`TupleStore`] and [`StageIndex`] have no
 /// interior mutability, so the context is `Sync`.
 pub(crate) struct JoinCtx<'a> {
     pub(crate) structure: &'a Structure,
     pub(crate) edb: &'a [&'a TupleStore],
-    pub(crate) edb_idx: &'a [Vec<PosIndex>],
+    pub(crate) edb_idx: &'a [Vec<StageIndex<'a>>],
     pub(crate) idb: &'a [&'a TupleStore],
-    pub(crate) idb_idx: &'a [Vec<PosIndex>],
+    pub(crate) idb_idx: &'a [Vec<StageIndex<'a>>],
     /// Bloom pre-filters over each IDB's committed tuples (cost-based runs
     /// only): a negative membership answer is definitive and skips the
     /// interner lookup.
@@ -1370,7 +1371,10 @@ pub(crate) struct JoinCtx<'a> {
 impl<'a> JoinCtx<'a> {
     /// Resolves an atom to its backing store, available indexes, and id
     /// range.
-    pub(crate) fn source(&self, atom: &JoinAtom) -> (&'a TupleStore, &'a [PosIndex], IdRange) {
+    pub(crate) fn source(
+        &self,
+        atom: &JoinAtom,
+    ) -> (&'a TupleStore, &'a [StageIndex<'a>], IdRange) {
         match atom.pred {
             Pred::Edb(r) => {
                 let store = self.edb[r.0];
@@ -1437,11 +1441,39 @@ impl<'a> JoinCtx<'a> {
     }
 }
 
+/// A position index a join probes: grown by the run over a store that
+/// changes under it (IDB stores, and EDB stores under maintenance), or
+/// borrowed from the structure's shared per-relation cache (EDB relations
+/// of a from-scratch run, see [`Relation::pos_index`]). Both answer the
+/// same id-sorted postings.
+#[derive(Debug)]
+pub(crate) enum StageIndex<'a> {
+    Grown(PosIndex),
+    Shared(&'a FrozenIndex),
+}
+
+impl StageIndex<'_> {
+    pub(crate) fn pos(&self) -> usize {
+        match self {
+            StageIndex::Grown(ix) => ix.pos(),
+            StageIndex::Shared(ix) => ix.pos(),
+        }
+    }
+
+    #[inline]
+    pub(crate) fn probe(&self, e: Element, range: IdRange) -> &[u32] {
+        match self {
+            StageIndex::Grown(ix) => ix.probe(e, range),
+            StageIndex::Shared(ix) => ix.probe(e, range),
+        }
+    }
+}
+
 /// Finds the prepared index on position `p`. The index plan in
 /// [`CompiledProgram`] covers every statically chosen probe position, so
 /// this always succeeds.
 #[allow(clippy::expect_used)]
-pub(crate) fn find_index(indexes: &[PosIndex], p: usize) -> &PosIndex {
+pub(crate) fn find_index<'i, 'a>(indexes: &'i [StageIndex<'a>], p: usize) -> &'i StageIndex<'a> {
     indexes
         .iter()
         .find(|ix| ix.pos() == p)
@@ -1564,6 +1596,7 @@ pub(crate) fn evaluate_rule(
         ctx,
         buf,
         binding: vec![None; rule.var_count],
+        undo: Vec::with_capacity(rule.var_count),
         probe_memo: vec![HashMap::new(); memo_len],
         check_memo: vec![HashMap::new(); memo_len],
         merge_memo: vec![None; memo_len],
@@ -1590,6 +1623,10 @@ pub(crate) struct RuleJoin<'a, 'b> {
     pub(crate) ctx: &'a JoinCtx<'a>,
     pub(crate) buf: &'b mut WorkerBuf,
     pub(crate) binding: Vec<Option<Element>>,
+    /// The variables bound by the candidate tuples on the recursion path,
+    /// innermost last: [`try_tuple`](Self::try_tuple) unbinds its own
+    /// suffix on the way out, so no candidate allocates.
+    undo: Vec<VarId>,
     /// Per-atom memo of probe key → resolved posting slice. Within one
     /// stage the indexed prefix is frozen, so a repeated key resolves to
     /// the identical slice; hits count as [`EvalStats::block_probes`].
@@ -1826,32 +1863,30 @@ impl<'a, 'b> RuleJoin<'a, 'b> {
     /// scheduled after this atom, recurse, restore.
     fn try_tuple(&mut self, atom_pos: usize, tuple: &[Element]) -> Result<(), Interrupted> {
         let atom = &self.rule.atoms[atom_pos];
-        let mut newly_bound: Vec<VarId> = Vec::new();
+        let mark = self.undo.len();
+        let mut ok = true;
         for (pos, t) in atom.args.iter().enumerate() {
-            let ok = match t {
+            ok = match t {
                 Term::Const(c) => self.ctx.structure.constant(*c) == tuple[pos],
                 Term::Var(v) => match self.binding[v.0] {
                     Some(e) => e == tuple[pos],
                     None => {
                         self.binding[v.0] = Some(tuple[pos]);
-                        newly_bound.push(*v);
+                        self.undo.push(*v);
                         true
                     }
                 },
             };
             if !ok {
-                for v in newly_bound.drain(..) {
-                    self.binding[v.0] = None;
-                }
-                return Ok(());
+                break;
             }
         }
-        let r = if self.neqs_ok_at(atom_pos + 1) {
+        let r = if ok && self.neqs_ok_at(atom_pos + 1) {
             self.join(atom_pos + 1)
         } else {
             Ok(())
         };
-        for v in newly_bound.drain(..) {
+        for v in self.undo.drain(mark..) {
             self.binding[v.0] = None;
         }
         r

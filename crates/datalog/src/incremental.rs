@@ -63,7 +63,9 @@ use crate::sharded::{self, ShardState};
 use crate::stage::StageExec;
 use kv_structures::govern::{Governor, Interrupted};
 use kv_structures::store::{CardStats, EvalStats, TupleId, TupleStore};
-use kv_structures::{Element, InsertOutcome, MutableStore, PlannerMode, RelId, Structure};
+use kv_structures::{
+    Element, FingerprintAcc, InsertOutcome, MutableStore, PlannerMode, RelId, Structure,
+};
 use std::cell::OnceCell;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -203,6 +205,10 @@ pub struct IncrementalEngine {
     /// live EDB is in [`edb`](Self::edb)).
     template: Structure,
     edb: Vec<MutableStore>,
+    /// The running [`kv_structures::structure_fingerprint`] of the live
+    /// EDB (what [`edb_structure`](Self::edb_structure) would
+    /// fingerprint), kept in step with every EDB kill and fresh insert.
+    edb_fingerprint: FingerprintAcc,
     idb: Vec<MutableStore>,
     /// EDB-delta rule variants: one per rule per EDB occurrence.
     edb_variants: Vec<CompiledRule>,
@@ -269,6 +275,7 @@ impl IncrementalEngine {
         IncrementalEngine {
             compiled,
             options,
+            edb_fingerprint: FingerprintAcc::of(&empty),
             template: empty,
             edb,
             idb,
@@ -355,6 +362,7 @@ impl IncrementalEngine {
             }
         }
         engine.edb = edb;
+        engine.edb_fingerprint = engine.live_edb_fingerprint();
         engine.idb = idb;
         engine.epoch = epoch;
         engine.total_stats = total_stats;
@@ -410,6 +418,24 @@ impl IncrementalEngine {
     /// Whether `tuple` is in the maintained goal relation.
     pub fn goal_contains(&self, tuple: &[Element]) -> bool {
         self.idb[self.compiled.goal().0].contains_live(tuple)
+    }
+
+    /// The [`kv_structures::structure_fingerprint`] of
+    /// [`edb_structure`](Self::edb_structure), read from the maintained
+    /// accumulator without materializing the structure.
+    pub fn edb_fingerprint(&self) -> u64 {
+        self.edb_fingerprint.fingerprint()
+    }
+
+    /// The fingerprint accumulator recomputed from the live EDB stores.
+    fn live_edb_fingerprint(&self) -> FingerprintAcc {
+        let mut acc = FingerprintAcc::of(&self.template);
+        for r in self.template.vocabulary().relations() {
+            for t in self.edb[r.0].live_iter() {
+                acc.insert(r, t);
+            }
+        }
+        acc
     }
 
     /// Materializes the current live EDB as a [`Structure`] (the input a
@@ -669,6 +695,8 @@ impl IncrementalEngine {
         let deleted_tuples: u64 = plan.idb_deleted.iter().map(|d| d.len() as u64).sum();
         for (r, dying) in plan.edb_dying.iter().enumerate() {
             for &id in dying {
+                self.edb_fingerprint
+                    .remove(RelId(r), self.edb[r].store().get(TupleId(id)));
                 self.edb[r].kill(TupleId(id));
             }
         }
@@ -732,10 +760,14 @@ impl IncrementalEngine {
         for &i in &order {
             let (r, t) = &inserts[i];
             match self.edb[r.0].insert(t) {
-                InsertOutcome::Fresh(_) => edb_inserted += 1,
+                InsertOutcome::Fresh(_) => {
+                    edb_inserted += 1;
+                    self.edb_fingerprint.insert(*r, t);
+                }
                 InsertOutcome::Bumped(_) => {}
                 InsertOutcome::Revived(_) => {
                     debug_assert!(false, "no dead tuples survive compaction");
+                    self.edb_fingerprint.insert(*r, t);
                 }
             }
         }
@@ -834,8 +866,7 @@ impl IncrementalEngine {
         let mut exec = StageExec::new(
             template,
             &options,
-            edb.iter().map(|m| m.store()).collect(),
-            Some(edb_delta_lo),
+            Some((edb.iter().map(|m| m.store()).collect(), edb_delta_lo)),
             idb,
             (&edb_positions, &idb_positions),
             shard.as_mut(),

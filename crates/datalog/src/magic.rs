@@ -549,7 +549,7 @@ mod tests {
         let compiled = magic.compile();
         let seeds = vec![(magic.magic_goal(), magic.seed(&[0, 11]))];
         let par = compiled
-            .try_run_seeded(&s, EvalOptions::default(), &seeds)
+            .try_run_seeded(&s, EvalOptions::default().with_threads(Some(2)), &seeds)
             .unwrap();
         let seq = compiled
             .try_run_seeded(

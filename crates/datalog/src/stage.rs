@@ -3,7 +3,7 @@
 //! runs) and incremental maintenance (`IncrementalEngine`'s insertion
 //! pass).
 //!
-//! [`StageExec::new`] builds the position indexes once per run. Each
+//! [`StageExec::new`] prepares the position indexes once per run. Each
 //! [`StageExec::run_stage`] filters the live rule variants, dispatches them
 //! to workers (which intern candidate heads into private scratch arenas),
 //! flushes the workers' pending governor steps, aborts the stage whole on
@@ -11,10 +11,17 @@
 //! indexes, Bloom filters) and finally charges the tuple/byte budgets —
 //! after the commit, so a budget trip keeps the stage.
 //!
+//! From scratch, EDB atoms probe the structure's shared per-relation
+//! [`FrozenIndex`](kv_structures::FrozenIndex) cache, so a run over a
+//! structure that was evaluated before builds no EDB index; maintenance
+//! and every IDB get growable indexes built by the run.
+//!
 //! The two parallel schemes differ only in how work is partitioned:
 //! threads deal rule variants round-robin; shards ([`EvalOptions::shards`])
 //! run every delta-pinned variant on every worker over its owner sub-range
-//! of the delta windows and route each derived tuple to its owner. The
+//! of the delta windows and route each derived tuple to its owner. With
+//! the default thread count, a stage whose input delta is below
+//! [`FAN_OUT_MIN_DELTA`] runs inline on the calling thread. The
 //! merge mode — set union into [`TupleStore`]s or support counting into
 //! [`MutableStore`]s — is the [`StageSink`] the caller passes. The one
 //! [`merge`] serves all four combinations and keeps every committed delta
@@ -22,7 +29,7 @@
 
 use crate::ast::Pred;
 use crate::eval::{
-    evaluate_rule, CompiledRule, EvalOptions, IdbAccess, JoinAtom, JoinCtx, WorkerBuf,
+    evaluate_rule, CompiledRule, EvalOptions, IdbAccess, JoinAtom, JoinCtx, StageIndex, WorkerBuf,
 };
 use crate::sharded::{self, Routes, ShardState};
 use kv_structures::govern::{Governor, Interrupted};
@@ -30,7 +37,7 @@ use kv_structures::par::{par_workers, thread_count};
 use kv_structures::store::{
     tuple_hash, EvalStats, IdRange, PosIndex, TupleBloom, TupleId, TupleStore,
 };
-use kv_structures::{Element, InsertOutcome, MutableStore, PlannerMode, Structure};
+use kv_structures::{Element, InsertOutcome, MutableStore, PlannerMode, Relation, Structure};
 
 /// An IDB store a stage merges into: [`TupleStore`] for set-union merges,
 /// [`MutableStore`] for counting merges that credit every derivation to
@@ -92,8 +99,8 @@ pub(crate) struct StageExec<'a> {
     structure: &'a Structure,
     idb_arities: Vec<usize>,
     edb: Vec<&'a TupleStore>,
-    edb_idx: Vec<Vec<PosIndex>>,
-    idb_idx: Vec<Vec<PosIndex>>,
+    edb_idx: Vec<Vec<StageIndex<'a>>>,
+    idb_idx: Vec<Vec<StageIndex<'a>>>,
     /// Incremental maintenance: the batch's EDB delta marks. Setting them
     /// gives EDB atoms old/delta/full windows, runs the workers in counting
     /// mode, and checks liveness on every atom. `None` from scratch.
@@ -105,15 +112,26 @@ pub(crate) struct StageExec<'a> {
     batched: bool,
     /// Worker threads for unsharded stages (capped by the live variants).
     threads: usize,
+    /// The smallest stage input that fans out over `threads`: 0 when the
+    /// caller pinned the thread count, [`FAN_OUT_MIN_DELTA`] otherwise.
+    fan_out_min: u64,
     shard: Option<&'a mut ShardState>,
 }
 
-/// One position index per planned position of each store, built over the
-/// store's current contents.
-fn build_indexes<'s>(
+/// When [`EvalOptions::threads`] is `None`, an unsharded stage fans out
+/// over threads only if its input — the tuples in its IDB delta windows
+/// plus the batch's EDB insertions — reaches this many tuples; smaller
+/// stages run inline on the calling thread. Below it, spawning a thread
+/// costs more than the stage's join work on a 2-CPU host (see the
+/// crossover measurement in CHANGES.md).
+const FAN_OUT_MIN_DELTA: u64 = 1024;
+
+/// One growable position index per planned position of each store, built
+/// over the store's current contents.
+fn build_indexes<'s, 'a>(
     stores: impl Iterator<Item = &'s TupleStore>,
     positions: &[Vec<usize>],
-) -> Vec<Vec<PosIndex>> {
+) -> Vec<Vec<StageIndex<'a>>> {
     stores
         .zip(positions)
         .map(|(store, positions)| {
@@ -122,7 +140,7 @@ fn build_indexes<'s>(
                 .map(|&p| {
                     let mut ix = PosIndex::new(p);
                     ix.update(store);
-                    ix
+                    StageIndex::Grown(ix)
                 })
                 .collect()
         })
@@ -149,19 +167,47 @@ fn window_nonempty(access: IdbAccess, lo: u32, hi: u32) -> bool {
 }
 
 impl<'a> StageExec<'a> {
-    /// Builds the indexes the rules will probe — `positions` is the
-    /// `(edb, idb)` index plan — over `edb` and the committed `idb`
-    /// stores; resumed runs rebuild them identically from the checkpoint.
+    /// Prepares the indexes the rules will probe — `positions` is the
+    /// `(edb, idb)` index plan. From scratch (`maintained` is `None`) the
+    /// EDB is `structure`'s own relations, probed through their shared
+    /// [`Relation::pos_index`](kv_structures::Relation::pos_index) cache,
+    /// so a run builds no EDB index its structure already has.
+    /// Maintenance passes the engine's EDB stores with the batch's delta
+    /// marks and gets growable indexes over them. IDB indexes are built
+    /// over the committed `idb` stores; resumed runs rebuild them
+    /// identically from the checkpoint.
     pub(crate) fn new<S: StageSink>(
         structure: &'a Structure,
         options: &EvalOptions,
-        edb: Vec<&'a TupleStore>,
-        edb_delta_lo: Option<&'a [u32]>,
+        maintained: Option<(Vec<&'a TupleStore>, &'a [u32])>,
         idb: &[S],
         positions: (&[Vec<usize>], &[Vec<usize>]),
         shard: Option<&'a mut ShardState>,
     ) -> Self {
         let batched = options.planner == PlannerMode::CostBased;
+        let (edb, edb_idx, edb_delta_lo) = match maintained {
+            Some((edb, lo)) => {
+                let idx = build_indexes(edb.iter().copied(), positions.0);
+                (edb, idx, Some(lo))
+            }
+            None => {
+                let relations: Vec<&Relation> = structure
+                    .vocabulary()
+                    .relations()
+                    .map(|r| structure.relation(r))
+                    .collect();
+                let idx = relations
+                    .iter()
+                    .zip(positions.0)
+                    .map(|(rel, ps)| {
+                        ps.iter()
+                            .map(|&p| StageIndex::Shared(rel.pos_index(p)))
+                            .collect()
+                    })
+                    .collect();
+                (relations.iter().map(|r| r.store()).collect(), idx, None)
+            }
+        };
         let blooms = (batched && edb_delta_lo.is_none()).then(|| {
             idb.iter()
                 .map(|s| bloom_of(s.store(), s.store().len().max(64) * 2))
@@ -170,7 +216,7 @@ impl<'a> StageExec<'a> {
         StageExec {
             structure,
             idb_arities: idb.iter().map(|s| s.store().arity()).collect(),
-            edb_idx: build_indexes(edb.iter().copied(), positions.0),
+            edb_idx,
             idb_idx: build_indexes(idb.iter().map(S::store), positions.1),
             edb,
             edb_delta_lo,
@@ -181,8 +227,31 @@ impl<'a> StageExec<'a> {
             } else {
                 1
             },
+            fan_out_min: if options.threads.is_some() {
+                0
+            } else {
+                FAN_OUT_MIN_DELTA
+            },
             shard,
         }
+    }
+
+    /// The stage's input: the tuples in the IDB delta windows plus the
+    /// batch's EDB insertions (none from scratch).
+    fn input_delta(&self, prev_len: &[u32], delta_lo: &[u32]) -> u64 {
+        let idb: u64 = prev_len
+            .iter()
+            .zip(delta_lo)
+            .map(|(&hi, &lo)| u64::from(hi - lo))
+            .sum();
+        let edb: u64 = self.edb_delta_lo.map_or(0, |lo| {
+            self.edb
+                .iter()
+                .zip(lo)
+                .map(|(s, &lo)| s.len() as u64 - u64::from(lo))
+                .sum()
+        });
+        idb + edb
     }
 
     /// Whether `rule` can derive anything this stage. A variant with an
@@ -289,7 +358,11 @@ impl<'a> StageExec<'a> {
         gov: &Governor,
     ) -> Vec<(WorkerBuf, Option<Routes>)> {
         let shard = self.shard.as_deref();
-        let workers = shard.map_or_else(|| self.threads.min(live.len()).max(1), |s| s.workers);
+        let workers = match shard {
+            Some(s) => s.workers,
+            None if self.input_delta(prev_len, delta_lo) < self.fan_out_min => 1,
+            None => self.threads.min(live.len()).max(1),
+        };
         let idb_refs: Vec<&TupleStore> = idb.iter().map(S::store).collect();
         par_workers(workers, |w| {
             let ctx = JoinCtx {
@@ -332,7 +405,9 @@ impl<'a> StageExec<'a> {
         delta_lo.copy_from_slice(prev_len);
         for (sink, ixs) in idb.iter().zip(&mut self.idb_idx) {
             for ix in ixs {
-                ix.update(sink.store());
+                if let StageIndex::Grown(ix) = ix {
+                    ix.update(sink.store());
+                }
             }
         }
         // Rebuild any filter that grew past its useful load.
@@ -408,4 +483,114 @@ fn merge<S: StageSink>(
         }
     }
     (new_tuples, ranges, exchanged)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::FAN_OUT_MIN_DELTA;
+    use crate::eval::{EvalOptions, Evaluator};
+    use crate::magic::{BindingPattern, MagicProgram};
+    use crate::parser::parse_program;
+    use crate::programs::transitive_closure;
+    use kv_structures::generators::random_digraph;
+    use kv_structures::{FrozenIndex, RelId, Structure, Vocabulary};
+    use std::sync::Arc;
+
+    #[test]
+    fn runs_over_one_structure_share_its_edb_indexes() {
+        let program = transitive_closure();
+        let s = random_digraph(40, 0.08, 5).to_structure();
+        let e = s.relation(RelId(0));
+        assert!((0..2).all(|p| e.built_index(p).is_none()));
+        let eval = Evaluator::new(&program);
+        let first = eval.run(&s, EvalOptions::default());
+        let built: Vec<usize> = (0..2).filter(|&p| e.built_index(p).is_some()).collect();
+        assert!(!built.is_empty(), "the run probes E through the cache");
+        let ptrs: Vec<*const FrozenIndex> = built
+            .iter()
+            .map(|&p| e.built_index(p).unwrap() as *const FrozenIndex)
+            .collect();
+        // A second run, and a demand run of another program over the same
+        // structure, borrow the same indexes instead of building new ones.
+        let second = eval.run(&s, EvalOptions::default());
+        assert_eq!(first.idb, second.idb);
+        let magic = MagicProgram::rewrite(&program, &BindingPattern::all_bound(2)).unwrap();
+        let seeds = vec![(magic.magic_goal(), magic.seed(&[0, 7]))];
+        magic
+            .compile()
+            .try_run_seeded(&s, EvalOptions::default(), &seeds)
+            .unwrap();
+        for (&p, &ptr) in built.iter().zip(&ptrs) {
+            assert!(std::ptr::eq(ptr, e.built_index(p).unwrap()), "position {p}");
+        }
+    }
+
+    #[test]
+    fn concurrent_first_runs_on_one_shared_structure_agree() {
+        let program = transitive_closure();
+        let s: Arc<Structure> = Arc::new(random_digraph(60, 0.05, 9).to_structure());
+        let eval = Evaluator::new(&program);
+        let results = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    let s = Arc::clone(&s);
+                    let eval = &eval;
+                    scope.spawn(move || eval.run(&s, EvalOptions::default()))
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap())
+                .collect::<Vec<_>>()
+        });
+        let sequential = eval.run(
+            &random_digraph(60, 0.05, 9).to_structure(),
+            EvalOptions {
+                parallel: false,
+                ..EvalOptions::default()
+            },
+        );
+        for r in &results {
+            assert_eq!(r.idb, sequential.idb);
+            assert!(r.same_stages(&sequential));
+            assert_eq!(r.eval_stats, sequential.eval_stats);
+        }
+    }
+
+    #[test]
+    fn default_options_fan_out_large_stages_and_stay_stage_identical() {
+        // Transitive closure with a left- and a right-linear recursive
+        // rule, so every semi-naive stage deals two live variants, on a
+        // 300-node random graph: the middle stages' deltas pass the
+        // fan-out minimum and run threaded, the first and last stay under
+        // it and run inline.
+        let program = parse_program(
+            "S(x, y) :- E(x, y).\n\
+             S(x, y) :- E(x, z), S(z, y).\n\
+             S(x, y) :- S(x, z), E(z, y).\n\
+             ?- S.",
+            Arc::new(Vocabulary::graph()),
+        )
+        .unwrap();
+        let s = random_digraph(300, 0.006, 3).to_structure();
+        let eval = Evaluator::new(&program);
+        let default = eval.run(&s, EvalOptions::default());
+        let deltas: Vec<u64> = default
+            .stats
+            .iter()
+            .map(|st| st.new_tuples.iter().map(|&c| c as u64).sum())
+            .collect();
+        assert!(deltas.iter().any(|&d| d >= FAN_OUT_MIN_DELTA), "{deltas:?}");
+        assert!(deltas.iter().any(|&d| d < FAN_OUT_MIN_DELTA), "{deltas:?}");
+        let sequential = eval.run(
+            &s,
+            EvalOptions {
+                parallel: false,
+                ..EvalOptions::default()
+            },
+        );
+        assert_eq!(default.idb, sequential.idb);
+        assert!(default.same_stages(&sequential));
+        assert_eq!(default.eval_stats, sequential.eval_stats);
+    }
 }

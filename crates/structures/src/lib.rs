@@ -52,14 +52,15 @@ pub use mutable::{InsertOutcome, MutableStore, RetractOutcome};
 pub use ops::{disjoint_union, induced_substructure, quotient};
 pub use persist::{LoadedLog, Manifest, RecoveryError, SegmentedLog};
 pub use plan::{
-    structure_fingerprint, CacheStats, ClockCache, DemandStrategy, JoinLowering, PlannerMode,
-    QueryCache, QueryPlan, StructureId, StructureRegistry,
+    structure_fingerprint, CacheStats, ClockCache, DemandStrategy, FingerprintAcc, JoinLowering,
+    PlannerMode, QueryCache, QueryPlan, StructureId, StructureRegistry,
 };
 pub use rng::SplitMix64;
 pub use shard::{shard_of, ShardKey, ShardedStore};
 pub use store::{
     gallop, gallop_intersect, gallop_intersect2, gallop_scalar, tuple_hash, CardStats, EvalStats,
-    IdRange, LimitExceeded, Limits, PosIndex, StoreView, TupleBloom, TupleId, TupleStore,
+    FrozenIndex, IdRange, LimitExceeded, Limits, PosIndex, StoreView, TupleBloom, TupleId,
+    TupleStore,
 };
 pub use structure::{Element, Relation, Structure, Tuple};
 pub use vocabulary::{ConstId, RelId, Vocabulary};

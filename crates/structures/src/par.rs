@@ -11,6 +11,13 @@
 //! Setting the variable to `1` disables threading entirely — every helper
 //! then runs inline on the caller's thread, which keeps single-threaded
 //! differential baselines trivial to produce.
+//!
+//! [`par_workers`] runs worker 0 on the calling thread, so `n` workers
+//! spawn `n - 1` threads. How many workers a caller asks for is its own
+//! policy: the Datalog stage executor fans a stage out only when the
+//! caller pinned a thread count or the stage's input delta reaches a
+//! minimum (1024 tuples), because below that a thread spawn costs more
+//! than the stage's join work.
 
 use crate::govern::{Governor, Interrupted};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -163,10 +170,11 @@ where
     Ok(out)
 }
 
-/// Runs `f` once per worker thread (passing the worker index), in
-/// parallel, and returns each worker's result. Used for reduce-style
+/// Runs `f` once per worker (passing the worker index), in parallel, and
+/// returns each worker's result in index order. Used for reduce-style
 /// patterns where each worker accumulates a private buffer that the
-/// caller merges afterwards.
+/// caller merges afterwards. Worker 0 runs on the calling thread, so `n`
+/// workers spawn `n - 1` threads and one worker spawns none.
 pub fn par_workers<R, F>(workers: usize, f: F) -> Vec<R>
 where
     R: Send,
@@ -178,13 +186,15 @@ where
     }
     let mut out: Vec<Option<R>> = Vec::with_capacity(workers);
     out.resize_with(workers, || None);
+    let (first, rest) = out.split_at_mut(1);
     std::thread::scope(|scope| {
-        for (w, slot) in out.iter_mut().enumerate() {
-            let f = &f;
+        let f = &f;
+        for (w, slot) in rest.iter_mut().enumerate() {
             scope.spawn(move || {
-                *slot = Some(f(w));
+                *slot = Some(f(w + 1));
             });
         }
+        first[0] = Some(f(0));
     });
     // Infallible: the scope joins every worker before `out` is read.
     #[allow(clippy::expect_used)]
@@ -223,9 +233,15 @@ mod tests {
 
     #[test]
     fn par_workers_runs_each_index() {
-        let mut ids = par_workers(4, |w| w);
-        ids.sort_unstable();
+        let ids = par_workers(4, |w| w);
         assert_eq!(ids, vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn par_workers_runs_worker_zero_inline() {
+        let caller = std::thread::current().id();
+        let on_caller = par_workers(3, |_| std::thread::current().id() == caller);
+        assert_eq!(on_caller, vec![true, false, false]);
     }
 
     #[test]

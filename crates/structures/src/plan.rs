@@ -15,6 +15,7 @@ use std::collections::HashMap;
 use std::fmt;
 
 use crate::structure::{Element, Structure};
+use crate::vocabulary::RelId;
 
 /// How the engine should evaluate a query with a given binding pattern.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -197,24 +198,75 @@ pub struct StructureId(pub u32);
 /// identically. Collisions only cost a spurious cache identity, so the
 /// registry additionally keeps the full fingerprint key.
 pub fn structure_fingerprint(s: &Structure) -> u64 {
-    let mut h = mix(0x9e37_79b9_7f4a_7c15 ^ s.universe_size() as u64);
-    for &c in s.constant_values() {
-        h = mix(h ^ u64::from(c).wrapping_add(0x517c_c1b7_2722_0a95));
-    }
-    for rel in s.vocabulary().relations() {
-        let store = s.relation(rel).store();
-        let mut rel_acc = 0u64;
-        for tuple in store.iter() {
-            let mut t = mix(rel.0 as u64 ^ 0xd6e8_feb8_6659_fd93);
-            for &e in tuple {
-                t = mix(t ^ u64::from(e));
+    FingerprintAcc::of(s).fingerprint()
+}
+
+/// The running form of [`structure_fingerprint`]: the universe size, the
+/// constants, and per relation the commutative sum of tuple contributions
+/// and the tuple count. A store that changes one tuple at a time keeps it
+/// up to date in O(arity) per change ([`insert`](Self::insert),
+/// [`remove`](Self::remove)) and reads its fingerprint without
+/// materializing a [`Structure`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FingerprintAcc {
+    universe: usize,
+    constants: Vec<Element>,
+    /// Per relation: (wrapping sum of tuple contributions, tuple count).
+    relations: Vec<(u64, u64)>,
+}
+
+impl FingerprintAcc {
+    /// The accumulator of `s`'s current contents.
+    pub fn of(s: &Structure) -> Self {
+        let mut acc = FingerprintAcc {
+            universe: s.universe_size(),
+            constants: s.constant_values().to_vec(),
+            relations: vec![(0, 0); s.vocabulary().relation_count()],
+        };
+        for rel in s.vocabulary().relations() {
+            for tuple in s.relation(rel).iter() {
+                acc.insert(rel, tuple);
             }
-            // Commutative combine: interning order must not matter.
-            rel_acc = rel_acc.wrapping_add(t);
         }
-        h = mix(h ^ rel_acc ^ (store.len() as u64).rotate_left(17));
+        acc
     }
-    h
+
+    /// One tuple's contribution to its relation's sum.
+    fn contribution(rel: RelId, tuple: &[Element]) -> u64 {
+        let mut t = mix(rel.0 as u64 ^ 0xd6e8_feb8_6659_fd93);
+        for &e in tuple {
+            t = mix(t ^ u64::from(e));
+        }
+        t
+    }
+
+    /// Accounts for `tuple` joining relation `rel`.
+    pub fn insert(&mut self, rel: RelId, tuple: &[Element]) {
+        let (sum, len) = &mut self.relations[rel.0];
+        // Commutative combine: interning order must not matter.
+        *sum = sum.wrapping_add(Self::contribution(rel, tuple));
+        *len += 1;
+    }
+
+    /// Accounts for `tuple` leaving relation `rel`; it must be present.
+    pub fn remove(&mut self, rel: RelId, tuple: &[Element]) {
+        let (sum, len) = &mut self.relations[rel.0];
+        *sum = sum.wrapping_sub(Self::contribution(rel, tuple));
+        *len -= 1;
+    }
+
+    /// The fingerprint [`structure_fingerprint`] gives a structure with
+    /// these contents.
+    pub fn fingerprint(&self) -> u64 {
+        let mut h = mix(0x9e37_79b9_7f4a_7c15 ^ self.universe as u64);
+        for &c in &self.constants {
+            h = mix(h ^ u64::from(c).wrapping_add(0x517c_c1b7_2722_0a95));
+        }
+        for &(sum, len) in &self.relations {
+            h = mix(h ^ sum ^ len.rotate_left(17));
+        }
+        h
+    }
 }
 
 /// SplitMix64 finalizer — cheap, well-mixed, dependency-free.
@@ -241,7 +293,11 @@ impl StructureRegistry {
     /// Interns `s`, returning the id previously assigned to a structure
     /// with the same fingerprint if one exists.
     pub fn intern(&mut self, s: &Structure) -> StructureId {
-        let fp = structure_fingerprint(s);
+        self.intern_fingerprint(structure_fingerprint(s))
+    }
+
+    /// Interns a structure known only by its [`structure_fingerprint`].
+    pub fn intern_fingerprint(&mut self, fp: u64) -> StructureId {
         let next = StructureId(self.by_fingerprint.len() as u32);
         *self.by_fingerprint.entry(fp).or_insert(next)
     }
@@ -551,7 +607,14 @@ impl QueryCache {
     /// Records the answer for `query` on `s`, stamped with the current
     /// epoch.
     pub fn insert(&mut self, s: &Structure, query: &[Element], answer: bool) {
-        let id = self.registry.intern(s);
+        self.insert_fingerprint(structure_fingerprint(s), query, answer);
+    }
+
+    /// [`insert`](Self::insert) for a structure known only by its
+    /// [`structure_fingerprint`] — a store that maintains a
+    /// [`FingerprintAcc`] need not materialize the structure.
+    pub fn insert_fingerprint(&mut self, fp: u64, query: &[Element], answer: bool) {
+        let id = self.registry.intern_fingerprint(fp);
         self.answers.insert((id, Box::from(query)), answer);
     }
 

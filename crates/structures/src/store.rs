@@ -673,6 +673,81 @@ impl PosIndex {
     }
 }
 
+/// A read-only single-position index over a finished [`TupleStore`]: the
+/// frozen counterpart of [`PosIndex`], answering the same
+/// [`probe`](Self::probe) with the same id-sorted postings.
+///
+/// The layout is compact — the sorted distinct keys, one offset per key
+/// and one id array grouped by key — so it costs O(tuples + distinct keys)
+/// memory with no per-key allocation and nothing sized by the universe. A
+/// probe is a binary search over the keys plus the two range searches of
+/// [`PosIndex::probe`]. [`Relation`](crate::Relation) caches one per
+/// probed position, so every evaluation of an unchanged structure shares
+/// it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FrozenIndex {
+    pos: usize,
+    keys: Vec<Element>,
+    /// `offsets[k]..offsets[k + 1]` is the slice of `ids` carrying
+    /// `keys[k]`; one entry longer than `keys`.
+    offsets: Vec<u32>,
+    ids: Vec<u32>,
+}
+
+impl FrozenIndex {
+    /// Indexes position `pos` of every tuple in `store`.
+    pub fn build(store: &TupleStore, pos: usize) -> Self {
+        // One sort of (key, id) pairs packed into u64s groups the ids by
+        // key and keeps each group id-sorted.
+        let mut pairs: Vec<u64> = (0..store.len() as u32)
+            .map(|id| (u64::from(store.get(TupleId(id))[pos]) << 32) | u64::from(id))
+            .collect();
+        pairs.sort_unstable();
+        let mut keys = Vec::new();
+        let mut offsets = Vec::new();
+        let mut ids = Vec::with_capacity(pairs.len());
+        for (i, &pair) in pairs.iter().enumerate() {
+            let key = (pair >> 32) as Element;
+            if keys.last() != Some(&key) {
+                keys.push(key);
+                offsets.push(i as u32);
+            }
+            ids.push(pair as u32);
+        }
+        offsets.push(ids.len() as u32);
+        Self {
+            pos,
+            keys,
+            offsets,
+            ids,
+        }
+    }
+
+    /// The indexed position.
+    pub fn pos(&self) -> usize {
+        self.pos
+    }
+
+    /// How many tuples (ids `[0, covered)`) the index covers.
+    pub fn covered(&self) -> u32 {
+        self.ids.len() as u32
+    }
+
+    /// The ids in `range` whose tuple has `e` at the indexed position.
+    pub fn probe(&self, e: Element, range: IdRange) -> &[u32] {
+        debug_assert!(range.end <= self.covered(), "probe beyond indexed prefix");
+        match self.keys.binary_search(&e) {
+            Err(_) => &[],
+            Ok(k) => {
+                let ids = &self.ids[self.offsets[k] as usize..self.offsets[k + 1] as usize];
+                let lo = ids.partition_point(|&id| id < range.start);
+                let hi = ids.partition_point(|&id| id < range.end);
+                &ids[lo..hi]
+            }
+        }
+    }
+}
+
 /// First index in the sorted list whose value is `>= target`, located by a
 /// galloping (exponential-then-binary) search from the front.
 ///
@@ -1151,6 +1226,60 @@ mod tests {
         }
         assert_eq!(s.card_stats().distinct, vec![37]);
         assert_eq!(s.card_stats().len, 37);
+    }
+
+    /// Probes the growable and the frozen index of `store` on `pos` with
+    /// every key up to past the largest element and random id ranges.
+    fn assert_frozen_matches_growable(store: &TupleStore, pos: usize, seed: u64) {
+        let mut grown = PosIndex::new(pos);
+        grown.update(store);
+        let frozen = FrozenIndex::build(store, pos);
+        assert_eq!(frozen.pos(), pos);
+        assert_eq!(frozen.covered(), grown.covered());
+        let top = store.iter().map(|t| t[pos]).max().map_or(4, |m| m + 4);
+        let mut rng = crate::rng::SplitMix64::seed_from_u64(seed);
+        let n = store.len() as u64;
+        for e in 0..=top {
+            let mut ranges = vec![store.id_range(), IdRange::EMPTY];
+            for _ in 0..8 {
+                let a = (rng.next_u64() % (n + 1)) as u32;
+                let b = (rng.next_u64() % (n + 1)) as u32;
+                ranges.push(IdRange {
+                    start: a.min(b),
+                    end: a.max(b),
+                });
+            }
+            for range in ranges {
+                assert_eq!(
+                    frozen.probe(e, range),
+                    grown.probe(e, range),
+                    "e {e} {range:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn frozen_index_matches_growable_index() {
+        assert_frozen_matches_growable(&TupleStore::new(2), 0, 1);
+        // Skewed: one hub key carries most tuples, the rest are sparse
+        // and leave gaps between keys.
+        let mut skewed = TupleStore::new(2);
+        let mut rng = crate::rng::SplitMix64::seed_from_u64(7);
+        for i in 0..600u32 {
+            let hub = if !rng.next_u64().is_multiple_of(4) {
+                5
+            } else {
+                3 * (i % 40)
+            };
+            skewed.intern(&[hub, i % 97]);
+        }
+        for pos in 0..2 {
+            assert_frozen_matches_growable(&skewed, pos, 11 + pos as u64);
+        }
+        let mut single = TupleStore::new(1);
+        single.intern(&[9]);
+        assert_frozen_matches_growable(&single, 0, 3);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Finite structures: a universe together with interpretations of every
 //! symbol of a [`Vocabulary`].
 
-use crate::store::{TupleId, TupleStore};
+use crate::store::{FrozenIndex, TupleId, TupleStore};
 use crate::vocabulary::{ConstId, RelId, Vocabulary};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// An element of a structure's universe. Universes are always `{0, …, n-1}`.
 pub type Element = u32;
@@ -22,10 +22,37 @@ pub type Tuple = Box<[Element]>;
 /// Iteration yields borrowed `&[Element]` slices in insertion (id) order;
 /// equality is *set* equality, independent of insertion order. The
 /// underlying store is exposed ([`store`](Self::store)) so evaluators can
-/// index and join the relation without copying its tuples.
-#[derive(Debug, Clone, Default, Eq)]
+/// index and join the relation without copying its tuples, and every
+/// evaluation shares one [`FrozenIndex`] per probed position
+/// ([`pos_index`](Self::pos_index)).
+#[derive(Debug, Clone, Default)]
 pub struct Relation {
     store: TupleStore,
+    indexes: IndexCache,
+}
+
+/// A relation's lazily built position indexes: one slot per position,
+/// allocated on the first probe and filled per position on first use.
+/// Clones share the built indexes (their contents are equal until either
+/// side mutates, and mutation drops the mutated side's cache).
+#[derive(Clone, Default)]
+struct IndexCache(OnceLock<Arc<[OnceLock<FrozenIndex>]>>);
+
+impl fmt::Debug for IndexCache {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let built: Vec<usize> = self
+            .0
+            .get()
+            .map(|slots| {
+                slots
+                    .iter()
+                    .filter_map(|s| s.get())
+                    .map(FrozenIndex::pos)
+                    .collect()
+            })
+            .unwrap_or_default();
+        f.debug_struct("IndexCache").field("built", &built).finish()
+    }
 }
 
 impl Relation {
@@ -33,12 +60,16 @@ impl Relation {
     pub fn new(arity: usize) -> Self {
         Self {
             store: TupleStore::new(arity),
+            indexes: IndexCache::default(),
         }
     }
 
     /// Wraps an existing store as a relation.
     pub fn from_store(store: TupleStore) -> Self {
-        Self { store }
+        Self {
+            store,
+            indexes: IndexCache::default(),
+        }
     }
 
     /// The arity of this relation.
@@ -61,7 +92,11 @@ impl Relation {
     /// # Panics
     /// Panics if the tuple length does not match the arity.
     pub fn insert(&mut self, tuple: &[Element]) -> bool {
-        self.store.intern(tuple).1
+        let fresh = self.store.intern(tuple).1;
+        if fresh {
+            self.indexes.0.take();
+        }
+        fresh
     }
 
     /// Tests membership.
@@ -84,6 +119,26 @@ impl Relation {
         &self.store
     }
 
+    /// The read-only index on position `pos`, built on first use and
+    /// shared by every later caller until the relation changes. Safe to
+    /// call from many threads at once: one builds, the rest wait.
+    ///
+    /// # Panics
+    /// Panics if `pos` is not below the arity.
+    pub fn pos_index(&self, pos: usize) -> &FrozenIndex {
+        let slots = self
+            .indexes
+            .0
+            .get_or_init(|| (0..self.arity()).map(|_| OnceLock::new()).collect());
+        slots[pos].get_or_init(|| FrozenIndex::build(&self.store, pos))
+    }
+
+    /// The index on position `pos` if one is already built — a peek that
+    /// never builds.
+    pub fn built_index(&self, pos: usize) -> Option<&FrozenIndex> {
+        self.indexes.0.get().and_then(|slots| slots.get(pos)?.get())
+    }
+
     /// Removes a tuple; returns `true` if it was present.
     ///
     /// The backing arena is append-only (that is what makes delta views id
@@ -99,6 +154,7 @@ impl Relation {
             rebuilt.intern(t);
         }
         self.store = rebuilt;
+        self.indexes.0.take();
         true
     }
 
@@ -116,6 +172,8 @@ impl PartialEq for Relation {
         self.store.set_eq(&other.store)
     }
 }
+
+impl Eq for Relation {}
 
 /// A finite relational structure `A` over a vocabulary `σ`.
 ///
@@ -389,6 +447,95 @@ mod tests {
                 vec![2u32, 0].into_boxed_slice(),
             ]
         );
+    }
+
+    #[test]
+    fn mutation_after_a_build_invalidates_the_index_cache() {
+        let mut r = Relation::new(2);
+        r.insert(&[0, 1]);
+        r.insert(&[2, 1]);
+        assert_eq!(r.pos_index(1).probe(1, r.store().id_range()), &[0, 1]);
+        assert!(r.built_index(1).is_some());
+        // A duplicate insert changes nothing and keeps the cache.
+        assert!(!r.insert(&[0, 1]));
+        assert!(r.built_index(1).is_some());
+        assert!(r.insert(&[3, 1]));
+        assert!(r.built_index(1).is_none());
+        assert_eq!(r.pos_index(1).probe(1, r.store().id_range()), &[0, 1, 2]);
+        assert!(r.remove(&[2, 1]));
+        assert!(r.built_index(1).is_none());
+        let ix = r.pos_index(1);
+        assert_eq!(ix.covered(), 2);
+        assert_eq!(ix.probe(1, r.store().id_range()).len(), 2);
+        assert!(ix.probe(2, r.store().id_range()).is_empty());
+    }
+
+    #[test]
+    fn clones_never_serve_an_index_over_other_contents() {
+        let mut a = Structure::new(graph_vocab(), 4);
+        let e = RelId(0);
+        a.insert(e, &[0, 1]);
+        a.insert(e, &[1, 2]);
+        // Built before the clone: the clone shares it while the contents
+        // agree, and each side drops it on its own mutation.
+        let before = a.relation(e).pos_index(0) as *const FrozenIndex;
+        let mut b = a.clone();
+        assert!(std::ptr::eq(before, b.relation(e).pos_index(0)));
+        b.insert(e, &[0, 3]);
+        assert_eq!(
+            b.relation(e)
+                .pos_index(0)
+                .probe(0, b.relation(e).store().id_range()),
+            &[0, 2]
+        );
+        assert!(std::ptr::eq(before, a.relation(e).pos_index(0)));
+        assert_eq!(
+            a.relation(e)
+                .pos_index(0)
+                .probe(0, a.relation(e).store().id_range()),
+            &[0]
+        );
+        // Built after the clone: the original's later mutation does not
+        // reach the clone's cache.
+        let c = a.clone();
+        a.insert(e, &[0, 2]);
+        assert_eq!(c.relation(e).pos_index(0).covered(), 2);
+        assert_eq!(a.relation(e).pos_index(0).covered(), 3);
+        for (s, label) in [(&a, "a"), (&b, "b"), (&c, "c")] {
+            let rel = s.relation(e);
+            let fresh = FrozenIndex::build(rel.store(), 0);
+            assert_eq!(rel.pos_index(0), &fresh, "{label}");
+        }
+    }
+
+    #[test]
+    fn first_touch_from_many_threads_builds_one_index() {
+        let mut s = Structure::new(graph_vocab(), 64);
+        for u in 0..64u32 {
+            s.insert(RelId(0), &[u, (u * 7 + 3) % 64]);
+            s.insert(RelId(0), &[u, (u * 13 + 5) % 64]);
+        }
+        let s = Arc::new(s);
+        let answers: Vec<(usize, Vec<Vec<u32>>)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    let s = Arc::clone(&s);
+                    scope.spawn(move || {
+                        let rel = s.relation(RelId(0));
+                        let ix = rel.pos_index(1);
+                        let lists = (0..64u32)
+                            .map(|e| ix.probe(e, rel.store().id_range()).to_vec())
+                            .collect();
+                        (ix as *const FrozenIndex as usize, lists)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for (ptr, lists) in &answers[1..] {
+            assert_eq!(*ptr, answers[0].0, "one shared index");
+            assert_eq!(lists, &answers[0].1);
+        }
     }
 
     #[test]

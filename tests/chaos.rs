@@ -558,7 +558,9 @@ fn chaos_planned_parallel_interrupt_resume_matches_stages() {
     // differ between runs; the guarantee is stage identity and the same
     // fixpoint.
     let programs = all_programs();
-    let opts = chaos_options().with_planner(PlannerMode::CostBased);
+    let opts = chaos_options()
+        .with_planner(PlannerMode::CostBased)
+        .with_threads(Some(2));
     for index in 0..8usize {
         let program = &programs[index % programs.len()];
         let s = fixture_for(program, 4_100 + (index % programs.len()) as u64);

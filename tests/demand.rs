@@ -146,9 +146,12 @@ fn magic_equals_full_under_parallel_evaluation() {
     let magic = MagicProgram::rewrite(&program, &BindingPattern::all_bound(2)).unwrap();
     let compiled = magic.compile();
     let seeds = vec![(magic.magic_goal(), magic.seed(&[0, 11]))];
-    let opts = |parallel| EvalOptions {
-        parallel,
-        ..EvalOptions::default()
+    let opts = |parallel| {
+        EvalOptions {
+            parallel,
+            ..EvalOptions::default()
+        }
+        .with_threads(parallel.then_some(2))
     };
     let seq = compiled.try_run_seeded(&s, opts(false), &seeds).unwrap();
     let par = compiled.try_run_seeded(&s, opts(true), &seeds).unwrap();

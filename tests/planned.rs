@@ -62,12 +62,15 @@ fn all_programs() -> Vec<Program> {
     ]
 }
 
+/// Options with the given planner; `parallel` pins two worker threads, so
+/// even stages below the default fan-out minimum run threaded.
 fn opts(planner: PlannerMode, parallel: bool) -> EvalOptions {
     EvalOptions {
         parallel,
         ..EvalOptions::default()
     }
     .with_planner(planner)
+    .with_threads(parallel.then_some(2))
 }
 
 #[test]

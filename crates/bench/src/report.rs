@@ -671,6 +671,16 @@ pub(crate) fn component_graph(blocks: usize, k: usize, p: f64, seed: u64) -> Str
     g.to_structure()
 }
 
+/// The mutation workload's name, program and EDB (see [`mutation_case`]).
+fn mutation_instance() -> (String, Program, Structure) {
+    let s = component_graph(48, 12, 0.25, 7);
+    (
+        "tc_mutation_tenants48x12_churn4".into(),
+        transitive_closure(),
+        s,
+    )
+}
+
 /// The dedicated mutation workload: `transitive_closure` over a
 /// multi-tenant component graph (48 disjoint random blocks of 12 nodes),
 /// churning a 4-edge set inside one block (one retract batch + one
@@ -686,8 +696,7 @@ pub(crate) fn component_graph(blocks: usize, k: usize, p: f64, seed: u64) -> Str
 /// and no incremental algorithm beats from-scratch there; see
 /// EXPERIMENTS.md for the measured contrast.)
 fn mutation_case() -> Obj {
-    let program = transitive_closure();
-    let s = component_graph(48, 12, 0.25, 7);
+    let (name, program, s) = mutation_instance();
     let churn = churn_set(&s, 4);
     let ev = Evaluator::new(&program);
     let opts = EvalOptions::default();
@@ -718,7 +727,7 @@ fn mutation_case() -> Obj {
         })
         .collect();
     Obj::new()
-        .str("name", "tc_mutation_tenants48x12_churn4")
+        .str("name", &name)
         .num("seed", 7)
         .num("threads", thread_count())
         .num("churn_edges", churn.len())
@@ -1006,8 +1015,12 @@ fn extract_case_num(report: &str, case: &str, key: &str) -> Option<f64> {
 /// planner modes) against the committed `BENCH_datalog.json` contents.
 /// A counter more than 10% above its committed value is a violation;
 /// counters are deterministic for fixed seeds, so anything beyond noise
-/// margin means an engine regression. Returns the violations (empty =
-/// pass); missing cases or columns in the committed report are skipped.
+/// margin means an engine regression. Each case's first churn round
+/// (the mutation case's too) is replayed as [`datalog_report`] runs it,
+/// and its `delta_tuples` / `rederived_tuples` must equal the committed
+/// values exactly: they count set-semantic tuples, so any change is a
+/// bug. Returns the violations (empty = pass); missing cases or columns
+/// in the committed report are skipped.
 pub fn regression_check(committed: &str) -> Vec<String> {
     const TOLERANCE: f64 = 1.10;
     let mut violations = Vec::new();
@@ -1041,6 +1054,28 @@ pub fn regression_check(committed: &str) -> Vec<String> {
                 violations.push(format!(
                     "{name}: {key} {current} regressed >10% over committed {baseline}"
                 ));
+            }
+        }
+    }
+    let cases = datalog_instances()
+        .into_iter()
+        .map(|(n, p, s, ..)| (n, p, s));
+    for (name, program, s) in cases.chain([mutation_instance()]) {
+        let churn = churn_set(&s, 4);
+        let opts = EvalOptions::default();
+        let (mut engine, _) = IncrementalEngine::from_structure(&program, &s, opts);
+        let dropped = engine.apply_batch(&[], &churn);
+        let steady = engine.apply_batch(&churn, &[]);
+        let measured = [
+            ("delta_tuples", steady.delta_tuples),
+            ("rederived_tuples", dropped.rederived_tuples),
+        ];
+        for (key, current) in measured {
+            let Some(baseline) = extract_case_num(committed, &name, key) else {
+                continue;
+            };
+            if current as f64 != baseline {
+                violations.push(format!("{name}: {key} {current} != committed {baseline}"));
             }
         }
     }
@@ -1129,6 +1164,14 @@ mod tests {
         assert!(
             !regression_check(&shrunk).is_empty(),
             "shrunken baseline must flag regressions"
+        );
+        // Maintenance counters must match exactly: one perturbed
+        // `rederived_tuples` value is flagged.
+        let perturbed = committed.replacen("\"rederived_tuples\": ", "\"rederived_tuples\": 9", 1);
+        let flagged = regression_check(&perturbed);
+        assert!(
+            flagged.iter().any(|v| v.contains("rederived_tuples")),
+            "perturbed rederived_tuples must be flagged: {flagged:?}"
         );
         // Reports missing the planner columns entirely (older baselines)
         // are tolerated.

@@ -27,6 +27,7 @@ use kv_core::ProgramQuery;
 use kv_service::{
     QueryId, QueryService, Request, Response, ServiceBuilder, TenantId, TenantPolicy,
 };
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -52,7 +53,8 @@ pub struct ServiceBenchConfig {
     pub starved_credits: u64,
     /// Edges churned per writer batch.
     pub churn_edges: usize,
-    /// Retract/reinsert writer batches applied during the run.
+    /// Retract/reinsert writer batch pairs applied during the run, paced
+    /// by completed requests: evenly spaced over the clients' reads.
     pub churn_batches: usize,
     /// Shared result-cache capacity.
     pub cache_capacity: usize,
@@ -197,6 +199,9 @@ pub fn run_service_bench(cfg: ServiceBenchConfig, cfg_name: &'static str) -> Ser
         .collect();
 
     let churn: Vec<Fact> = crate::report::churn_set(&s, cfg.churn_edges);
+    // Requests completed so far, across every client: the writer's clock.
+    let completed = AtomicU64::new(0);
+    let clients_done = AtomicBool::new(false);
     let start = Instant::now();
     let mut clients: Vec<ClientStats> = Vec::new();
 
@@ -206,9 +211,9 @@ pub fn run_service_bench(cfg: ServiceBenchConfig, cfg_name: &'static str) -> Ser
         for (i, &tenant) in popular.iter().enumerate() {
             let svc = Arc::clone(&svc);
             let pool = pools[i].clone();
-            let cfg = &cfg;
+            let (cfg, completed) = (&cfg, &completed);
             handles.push(scope.spawn(move || {
-                open_loop(&svc, tenant, query, cfg, move |r| {
+                open_loop(&svc, tenant, query, cfg, completed, move |r| {
                     pool[r as usize % pool.len()].clone()
                 })
             }));
@@ -216,10 +221,10 @@ pub fn run_service_bench(cfg: ServiceBenchConfig, cfg_name: &'static str) -> Ser
         // The scan client: uniform random pairs, cache-hostile.
         {
             let svc = Arc::clone(&svc);
-            let cfg = &cfg;
+            let (cfg, completed) = (&cfg, &completed);
             handles.push(scope.spawn(move || {
                 let mut rng = SplitMix64::seed_from_u64(cfg.seed ^ 0x5ca9);
-                open_loop(&svc, scan, query, cfg, move |_| {
+                open_loop(&svc, scan, query, cfg, completed, move |_| {
                     vec![rng.gen_range(0..n as u32), rng.gen_range(0..n as u32)]
                 })
             }));
@@ -228,24 +233,34 @@ pub fn run_service_bench(cfg: ServiceBenchConfig, cfg_name: &'static str) -> Ser
         // but its credit balance runs dry almost immediately.
         {
             let svc = Arc::clone(&svc);
-            let cfg = &cfg;
+            let (cfg, completed) = (&cfg, &completed);
             handles.push(scope.spawn(move || {
                 let mut rng = SplitMix64::seed_from_u64(cfg.seed ^ 0xdead);
-                open_loop(&svc, starved, query, cfg, move |_| {
+                open_loop(&svc, starved, query, cfg, completed, move |_| {
                     vec![rng.gen_range(0..n as u32), rng.gen_range(0..n as u32)]
                 })
             }));
         }
         // The writer: churn one block's edges, retract/reinsert, while
-        // every client above is in flight.
+        // every client above is in flight. Pair `k` (from 1) commits once
+        // the clients have completed `k` of `churn_batches + 1` equal
+        // shares of all requests, so commits interleave with the same
+        // reads however fast the service answers them.
         let writer_svc = Arc::clone(&svc);
-        let writer_churn = &churn;
-        let batches = cfg.churn_batches;
+        let (writer_churn, completed, clients_done) = (&churn, &completed, &clients_done);
+        let batches = cfg.churn_batches as u64;
+        let total = (cfg.requests_per_client * (cfg.popular_tenants + 2)) as u64;
         let writer = scope.spawn(move || {
-            for _ in 0..batches {
+            for k in 1..=batches {
+                let mark = total * k / (batches + 1);
+                while completed.load(Ordering::Relaxed) < mark {
+                    if clients_done.load(Ordering::Relaxed) {
+                        return;
+                    }
+                    std::thread::sleep(Duration::from_micros(100));
+                }
                 writer_svc.apply_batch(&[], writer_churn);
                 writer_svc.apply_batch(writer_churn, &[]);
-                std::thread::sleep(Duration::from_millis(2));
             }
         });
         for h in handles {
@@ -253,6 +268,7 @@ pub fn run_service_bench(cfg: ServiceBenchConfig, cfg_name: &'static str) -> Ser
                 clients.push(stats);
             }
         }
+        clients_done.store(true, Ordering::Relaxed);
         let _ = writer.join();
     });
 
@@ -298,6 +314,7 @@ fn open_loop(
     tenant: TenantId,
     query: QueryId,
     cfg: &ServiceBenchConfig,
+    completed: &AtomicU64,
     mut next_tuple: impl FnMut(u64) -> Vec<Element>,
 ) -> ClientStats {
     let mut stats = ClientStats {
@@ -323,6 +340,7 @@ fn open_loop(
         });
         let service = served.elapsed();
         stats.latencies.push(scheduled.elapsed());
+        completed.fetch_add(1, Ordering::Relaxed);
         match response {
             Response::Answer { cached, .. } => {
                 stats.answered += 1;

@@ -691,7 +691,8 @@ pub(crate) fn schedule_neqs(
 /// Where a semi-naive rule variant pins its delta atom: on the `d`-th IDB
 /// occurrence (ordinary stage variants), on the `d`-th EDB occurrence
 /// (the incremental engine's EDB-insertion variants, where the delta is
-/// the batch of freshly asserted facts), or nowhere (naive rules).
+/// the batch of freshly asserted facts), on any body occurrence (the
+/// engine's deletion joins), or nowhere (naive rules).
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum DeltaPin {
     /// No delta: every atom reads its full relation.
@@ -703,6 +704,14 @@ pub(crate) enum DeltaPin {
     /// full — enumerates each new derivation exactly once, which is what
     /// counting-based maintenance needs.
     Edb(usize),
+    /// Delta on the `at`-th body atom of either kind; earlier atoms read
+    /// `before`, later ones `after`. Deletion joins seed the delta atom
+    /// with deleted ids ([`JoinCtx::seed`]) and read `Old` as survivors.
+    Body {
+        at: usize,
+        before: IdbAccess,
+        after: IdbAccess,
+    },
 }
 
 pub(crate) fn compile_rule_pinned(rule: &Rule, pin: DeltaPin, magic: &[bool]) -> CompiledRule {
@@ -714,34 +723,29 @@ pub(crate) fn compile_rule_pinned(rule: &Rule, pin: DeltaPin, magic: &[bool]) ->
         .collect();
     let mut atoms = Vec::new();
     let mut neqs = Vec::new();
-    let mut idb_occurrence = 0usize;
-    let mut edb_occurrence = 0usize;
-    let partition = |occ: usize, d: usize| match occ.cmp(&d) {
-        std::cmp::Ordering::Less => IdbAccess::Old,
+    let (mut occurrence, mut idb_occurrence, mut edb_occurrence) = (0usize, 0usize, 0usize);
+    let partition = |occ: usize, d: usize, before: IdbAccess, after: IdbAccess| match occ.cmp(&d) {
+        std::cmp::Ordering::Less => before,
         std::cmp::Ordering::Equal => IdbAccess::Delta,
-        std::cmp::Ordering::Greater => IdbAccess::Full,
+        std::cmp::Ordering::Greater => after,
     };
+    let (old, full) = (IdbAccess::Old, IdbAccess::Full);
     for lit in &rule.body {
         match lit {
             Literal::Atom(pred, args) => {
-                let access = match pred {
-                    Pred::Idb(_) => {
-                        let acc = match pin {
-                            DeltaPin::Idb(d) => partition(idb_occurrence, d),
-                            DeltaPin::None | DeltaPin::Edb(_) => IdbAccess::Full,
-                        };
-                        idb_occurrence += 1;
-                        acc
+                let access = match (pin, pred) {
+                    (DeltaPin::Body { at, before, after }, _) => {
+                        partition(occurrence, at, before, after)
                     }
-                    Pred::Edb(_) => {
-                        let acc = match pin {
-                            DeltaPin::Edb(d) => partition(edb_occurrence, d),
-                            DeltaPin::None | DeltaPin::Idb(_) => IdbAccess::Full,
-                        };
-                        edb_occurrence += 1;
-                        acc
-                    }
+                    (DeltaPin::Idb(d), Pred::Idb(_)) => partition(idb_occurrence, d, old, full),
+                    (DeltaPin::Edb(d), Pred::Edb(_)) => partition(edb_occurrence, d, old, full),
+                    _ => full,
                 };
+                occurrence += 1;
+                match pred {
+                    Pred::Idb(_) => idb_occurrence += 1,
+                    Pred::Edb(_) => edb_occurrence += 1,
+                }
                 atoms.push(JoinAtom {
                     pred: *pred,
                     access,
@@ -1366,6 +1370,13 @@ pub(crate) struct JoinCtx<'a> {
     /// The shared governor; workers poll it cooperatively through
     /// worker-local batched counters ([`WorkerBuf::pending_steps`]).
     pub(crate) gov: &'a Governor,
+    /// Deletion joins: the ids the `Delta` atom ranges over instead of its
+    /// window. `None` on every stage run.
+    pub(crate) seed: Option<&'a [u32]>,
+    /// Deletion joins: the dying EDB and deleted IDB ids, per relation.
+    /// `Old` atoms skip them, so they read the survivors. `None` on every
+    /// stage run.
+    pub(crate) deleted: Option<(&'a [DenseSet], &'a [DenseSet])>,
 }
 
 impl<'a> JoinCtx<'a> {
@@ -1429,6 +1440,16 @@ impl<'a> JoinCtx<'a> {
         }
     }
 
+    /// The ids an atom must skip: the deleted set of its relation when it
+    /// reads survivors (an `Old` atom of a deletion join), else `None`.
+    fn deleted_of(&self, atom: &JoinAtom) -> Option<&'a DenseSet> {
+        match (self.deleted, atom.access, atom.pred) {
+            (Some((edb, _)), IdbAccess::Old, Pred::Edb(r)) => Some(&edb[r.0]),
+            (Some((_, idb)), IdbAccess::Old, Pred::Idb(i)) => Some(&idb[i.0]),
+            _ => None,
+        }
+    }
+
     /// Whether `tuple` is already committed in IDB `head`'s shared store,
     /// going through the Bloom pre-filter when one is maintained.
     fn committed(&self, head: usize, tuple: &[Element]) -> bool {
@@ -1438,6 +1459,60 @@ impl<'a> JoinCtx<'a> {
             }
         }
         self.idb[head].lookup(tuple).is_some()
+    }
+}
+
+/// A set of tuple ids over one store, as a dense bitmap: deletion joins
+/// test every survivor candidate against it, where a word-indexed bit
+/// test beats hashing by an order of magnitude, and ids are bounded by
+/// the (compacted, contiguous) store length.
+#[derive(Debug, Clone)]
+pub(crate) struct DenseSet {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl DenseSet {
+    pub(crate) fn for_ids(n: usize) -> Self {
+        DenseSet {
+            words: vec![0; n.div_ceil(64)],
+            len: 0,
+        }
+    }
+
+    #[inline]
+    pub(crate) fn contains(&self, id: u32) -> bool {
+        let (w, b) = (id as usize / 64, id % 64);
+        self.words.get(w).is_some_and(|word| word >> b & 1 == 1)
+    }
+
+    pub(crate) fn insert(&mut self, id: u32) -> bool {
+        let (w, b) = (id as usize / 64, id % 64);
+        let fresh = self.words[w] >> b & 1 == 0;
+        self.words[w] |= 1 << b;
+        self.len += fresh as usize;
+        fresh
+    }
+
+    pub(crate) fn remove(&mut self, id: u32) -> bool {
+        let (w, b) = (id as usize / 64, id % 64);
+        let was = self.words[w] >> b & 1 == 1;
+        self.words[w] &= !(1 << b);
+        self.len -= was as usize;
+        was
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// All members in increasing id order.
+    pub(crate) fn iter_sorted(&self) -> impl Iterator<Item = u32> + '_ {
+        self.words.iter().enumerate().flat_map(|(w, &word)| {
+            (0..64)
+                .filter(move |b| word >> b & 1 == 1)
+                .map(move |b| (w * 64 + b) as u32)
+        })
     }
 }
 
@@ -1606,10 +1681,20 @@ pub(crate) fn evaluate_rule(
         return Ok(());
     }
     if let Some(plan) = &rule.generic {
+        debug_assert!(ctx.seed.is_none(), "deletion joins run the binary kernels");
         join.buf.wcoj_rules += 1;
         wcoj::execute(&mut join, plan)?;
+    } else if let Some(seed) = ctx.seed {
+        // A deletion join: its pinned `Delta` atom 0 ranges over the seed.
+        let pinned = &rule.atoms[0];
+        debug_assert_eq!(pinned.access, IdbAccess::Delta);
+        let (store, _, _) = ctx.source(pinned);
+        join.count_probe(pinned.is_magic)?;
+        for &id in seed {
+            join.try_tuple::<true>(0, store.get(TupleId(id)))?;
+        }
     } else {
-        join.join(0)?;
+        join.join::<false>(0)?;
     }
     // Drain the batched-emission buffer: the rule variant is done, so any
     // tail block (fewer than EMIT_BLOCK tuples) interns now.
@@ -1715,7 +1800,7 @@ impl<'a, 'b> RuleJoin<'a, 'b> {
     }
 
     /// Recursion over atoms, then free-variable enumeration, then emit.
-    fn join(&mut self, atom_pos: usize) -> Result<(), Interrupted> {
+    fn join<const SURVIVORS: bool>(&mut self, atom_pos: usize) -> Result<(), Interrupted> {
         let rule = self.rule;
         // Cost-based early exit: all head arguments are bound from here
         // on, so a branch whose head tuple is already derived can stop —
@@ -1730,6 +1815,14 @@ impl<'a, 'b> RuleJoin<'a, 'b> {
         let ctx = self.ctx;
         let atom = &rule.atoms[atom_pos];
         let (store, indexes, range) = ctx.source(atom);
+        // Only deletion joins (`SURVIVORS`) read `Old` atoms as survivors;
+        // stage runs compile the filter away.
+        let deleted = if SURVIVORS {
+            ctx.deleted_of(atom)
+        } else {
+            None
+        };
+        let live = |id: u32| !deleted.is_some_and(|d| d.contains(id));
         // Arguments chosen by a probing kernel are constants or variables
         // bound by earlier atoms — always resolvable here.
         #[allow(clippy::expect_used)]
@@ -1740,23 +1833,27 @@ impl<'a, 'b> RuleJoin<'a, 'b> {
                 self.count_probe(atom.is_magic)?;
                 let arity = atom.args.len();
                 if arity == 0 {
-                    for _ in range.iter() {
-                        self.try_tuple(atom_pos, &[])?;
+                    for id in range.iter() {
+                        if live(id.0) {
+                            self.try_tuple::<SURVIVORS>(atom_pos, &[])?;
+                        }
                     }
                 } else {
                     // Batched columnar walk: the arity-strided arena hands
-                    // out one contiguous slice per block, keeping the inner
-                    // loop free of per-tuple id arithmetic and charging the
-                    // governor once per block instead of never mid-scan.
+                    // out one contiguous slice per block, and the governor
+                    // is charged once per block instead of never mid-scan.
                     let cols = store.range_slice(range);
-                    let mut first = true;
+                    let (mut id, mut first) = (range.start, true);
                     for block in cols.chunks(SCAN_BLOCK * arity) {
                         if !first {
                             self.charge()?;
                         }
                         first = false;
                         for tuple in block.chunks_exact(arity) {
-                            self.try_tuple(atom_pos, tuple)?;
+                            if live(id) {
+                                self.try_tuple::<SURVIVORS>(atom_pos, tuple)?;
+                            }
+                            id += 1;
                         }
                     }
                 }
@@ -1780,7 +1877,9 @@ impl<'a, 'b> RuleJoin<'a, 'b> {
                     find_index(indexes, pos).probe(e, range)
                 };
                 for &id in list {
-                    self.try_tuple(atom_pos, store.get(TupleId(id)))?;
+                    if live(id) {
+                        self.try_tuple::<SURVIVORS>(atom_pos, store.get(TupleId(id)))?;
+                    }
                 }
             }
             JoinKernel::MergedProbe { pos_a, pos_b } => {
@@ -1810,7 +1909,9 @@ impl<'a, 'b> RuleJoin<'a, 'b> {
                 };
                 let walk = |join: &mut Self| -> Result<(), Interrupted> {
                     for &id in &ids {
-                        join.try_tuple(atom_pos, store.get(TupleId(id)))?;
+                        if live(id) {
+                            join.try_tuple::<SURVIVORS>(atom_pos, store.get(TupleId(id)))?;
+                        }
                     }
                     Ok(())
                 };
@@ -1839,7 +1940,7 @@ impl<'a, 'b> RuleJoin<'a, 'b> {
                         self.count_probe(atom.is_magic)?;
                         let v = matches!(
                             store.lookup(&self.buf.check_buf),
-                            Some(id) if range.contains(id)
+                            Some(id) if range.contains(id) && live(id.0)
                         );
                         if self.check_memo[atom_pos].len() < MEMO_CAP {
                             self.check_memo[atom_pos].insert(self.buf.check_buf.clone(), v);
@@ -1848,11 +1949,12 @@ impl<'a, 'b> RuleJoin<'a, 'b> {
                     }
                 } else {
                     self.count_probe(atom.is_magic)?;
-                    matches!(store.lookup(&self.buf.check_buf), Some(id) if range.contains(id))
+                    matches!(store.lookup(&self.buf.check_buf),
+                             Some(id) if range.contains(id) && live(id.0))
                 };
                 if hit {
                     // No new bindings: recurse directly.
-                    self.join(atom_pos + 1)?;
+                    self.join::<SURVIVORS>(atom_pos + 1)?;
                 }
             }
         }
@@ -1861,7 +1963,11 @@ impl<'a, 'b> RuleJoin<'a, 'b> {
 
     /// Per-candidate matching: extend the binding, apply the ≠-checks
     /// scheduled after this atom, recurse, restore.
-    fn try_tuple(&mut self, atom_pos: usize, tuple: &[Element]) -> Result<(), Interrupted> {
+    fn try_tuple<const SURVIVORS: bool>(
+        &mut self,
+        atom_pos: usize,
+        tuple: &[Element],
+    ) -> Result<(), Interrupted> {
         let atom = &self.rule.atoms[atom_pos];
         let mark = self.undo.len();
         let mut ok = true;
@@ -1882,7 +1988,7 @@ impl<'a, 'b> RuleJoin<'a, 'b> {
             }
         }
         let r = if ok && self.neqs_ok_at(atom_pos + 1) {
-            self.join(atom_pos + 1)
+            self.join::<SURVIVORS>(atom_pos + 1)
         } else {
             Ok(())
         };

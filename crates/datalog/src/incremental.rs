@@ -24,10 +24,17 @@
 //!    per-tuple support (maintained exactly by the insertion pass) and die
 //!    at zero; predicates in recursive SCCs fall back to DRed:
 //!    over-delete the affected closure, then re-derive survivors from
-//!    untouched facts until stable. The commit kills the dead tuples and
-//!    **compacts** every store that holds one — after compaction no dead
-//!    tuple exists, so the insertion pass (and every range-based join
-//!    kernel) sees contiguous live id ranges, unchanged.
+//!    untouched facts until stable. Every one of these joins is a rule
+//!    variant compiled once in [`IncrementalEngine::new`] and run by the
+//!    stage kernels (`crate::eval::evaluate_rule`) in counting mode: the
+//!    pinned atom is the `Delta` atom, seeded with deleted ids instead of
+//!    a window, and `Old` atoms skip deleted ids (see [`DeletionPass`]).
+//!    The pre-state holds no dead tuple (every commit compacts, and
+//!    restore rejects a snapshot with one), so no join tests liveness.
+//!    The commit kills the dead tuples and **compacts** every store that
+//!    holds one — after compaction no dead tuple exists, so the insertion
+//!    pass (and every range-based join kernel) sees contiguous live id
+//!    ranges, unchanged.
 //! 2. **Insertion** (stage-by-stage commit, like a from-scratch run).
 //!    Fresh EDB tuples append above the batch's delta mark. Stage one
 //!    runs the *EDB-delta* rule variants — the `d`-th EDB occurrence
@@ -53,21 +60,22 @@
 //! continues to a result — counters included — identical to an
 //! uninterrupted run.
 
-use crate::ast::{IdbId, Pred, Term, VarId};
+use crate::ast::{IdbId, Literal, Pred, Rule, Term};
 use crate::eval::{
-    compile_rule_pinned, index_plan, CompiledProgram, CompiledRule, DeltaPin, EvalOptions,
+    compile_rule_pinned, evaluate_rule, index_plan, CompiledProgram, CompiledRule, DeltaPin,
+    DenseSet, EvalOptions, IdbAccess, JoinCtx, JoinKernel, StageIndex, WorkerBuf,
 };
 use crate::planner::plan_rules_with_stats;
 use crate::program::Program;
 use crate::sharded::{self, ShardState};
 use crate::stage::StageExec;
 use kv_structures::govern::{Governor, Interrupted};
-use kv_structures::store::{CardStats, EvalStats, TupleId, TupleStore};
+use kv_structures::store::{CardStats, EvalStats, FrozenIndex, TupleId, TupleStore};
 use kv_structures::{
     Element, FingerprintAcc, InsertOutcome, MutableStore, PlannerMode, RelId, Structure,
 };
 use std::cell::OnceCell;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -186,7 +194,7 @@ struct DeletionPlan {
     /// Per relation: ids whose assertion count reaches zero, sorted.
     edb_dying: Vec<Vec<u32>>,
     /// Per IDB predicate: net-deleted ids (counting deaths plus DRed's
-    /// overdeleted-minus-rederived).
+    /// overdeleted-minus-rederived); empty when no EDB tuple dies.
     idb_deleted: Vec<DenseSet>,
     /// Per counting (non-recursive) IDB predicate: lost derivation counts
     /// for tuples that survive with reduced support.
@@ -214,8 +222,8 @@ pub struct IncrementalEngine {
     edb_variants: Vec<CompiledRule>,
     /// Rules with no body atoms; they fire once, on the first batch.
     fact_rules: Vec<CompiledRule>,
-    /// Naive-rule indices grouped by head predicate (deletion joins).
-    rules_by_head: Vec<Vec<usize>>,
+    /// The deletion joins, in rule order (see [`DeletionPass`]).
+    deletion_joins: Vec<(DelJoin, CompiledRule)>,
     epoch: u64,
     pending: Option<PendingBatch>,
     total_stats: EvalStats,
@@ -259,9 +267,29 @@ impl IncrementalEngine {
             .filter(|r| r.atoms.is_empty())
             .cloned()
             .collect();
-        let mut rules_by_head = vec![Vec::new(); program.idb_count()];
-        for (ri, rule) in compiled.naive_rules.iter().enumerate() {
-            rules_by_head[rule.head.0].push(ri);
+        let scc = compiled.scc_info();
+        let (old, full) = (IdbAccess::Old, IdbAccess::Full);
+        let mut deletion_joins = Vec::new();
+        for rule in program.rules() {
+            let component = scc.component_of(rule.head.0);
+            let recursive = scc.is_recursive(component);
+            let lost_before = if recursive { full } else { old };
+            for (at, (pred, _)) in rule.atoms().enumerate() {
+                let lost = deletion_variant(rule, at, lost_before, full, &magic);
+                deletion_joins.push((DelJoin::Lost, lost));
+                // Rederivation propagates only within the component.
+                if matches!(pred, Pred::Idb(i) if recursive && scc.component_of(i.0) == component) {
+                    let rederive = deletion_variant(rule, at, old, old, &magic);
+                    deletion_joins.push((DelJoin::Rederive, rederive));
+                }
+            }
+            if recursive {
+                let mut seeded = rule.clone();
+                let head = Literal::Atom(Pred::Idb(rule.head), rule.head_args.clone());
+                seeded.body.insert(0, head);
+                let rederivable = deletion_variant(&seeded, 0, old, old, &magic);
+                deletion_joins.push((DelJoin::Rederivable, rederivable));
+            }
         }
         let edb: Vec<MutableStore> = vocab
             .relations()
@@ -281,7 +309,7 @@ impl IncrementalEngine {
             idb,
             edb_variants,
             fact_rules,
-            rules_by_head,
+            deletion_joins,
             epoch: 0,
             pending: None,
             total_stats: EvalStats::default(),
@@ -353,6 +381,14 @@ impl IncrementalEngine {
         }
         let universe = template.universe_size() as Element;
         for store in edb.iter().chain(&idb) {
+            // Every commit compacts, so a snapshot holds no dead tuple; the
+            // deletion and insertion passes read every stored id as live.
+            if store.live_len() < store.len() {
+                return Err(format!(
+                    "snapshot store holds {} dead tuple(s)",
+                    store.len() - store.live_len()
+                ));
+            }
             for t in store.store().iter() {
                 if t.iter().any(|&e| e >= universe) {
                     return Err(format!(
@@ -893,541 +929,263 @@ impl IncrementalEngine {
     }
 }
 
-/// Liveness filter for one atom during deletion joins.
+/// What a compiled deletion join computes (see [`DeletionPass`]). Every
+/// deletion join pins one atom first as the `Delta` atom, seeded with ids;
+/// `Old` atoms read the survivors and `Full` atoms the pre-state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum DelFilter {
-    /// The pre-state: everything live before the batch (deleted included).
-    Pre,
-    /// The post-state: pre-state tuples not marked deleted.
-    Survivor,
+enum DelJoin {
+    /// Pinned on deleted premises: the lost derivations. For a
+    /// non-recursive head, earlier atoms read survivors and later ones the
+    /// pre-state, so each lost derivation is enumerated exactly once
+    /// across pinned occurrences; for a recursive head every other atom
+    /// reads the pre-state (DRed's overdeletion).
+    Lost,
+    /// Recursive heads: pinned on freshly rederived tuples, every other
+    /// atom over survivors (rederivation propagation).
+    Rederive,
+    /// Recursive heads: the head atom itself pinned on overdeleted
+    /// tuples, the body over survivors — it emits exactly the overdeleted
+    /// tuples that keep a surviving derivation.
+    Rederivable,
 }
 
-/// A counting-sort position index over one pre-state store: `probe(e)` is
-/// the slice of tuple ids carrying `e` at the indexed position, in
-/// increasing id order. Elements are universe indices, so two linear
-/// passes build it with no hashing — several times cheaper than a
-/// [`PosIndex`] build, which matters because deletion plans index lazily
-/// per batch and throw the result away.
-struct DenseIdx {
-    /// Bucket `e` is `ids[offsets[e] as usize..offsets[e + 1] as usize]`.
-    offsets: Vec<u32>,
-    ids: Vec<u32>,
+/// Compiles `rule` with its `at`-th body atom pinned first as the seeded
+/// `Delta` atom, earlier atoms reading `before` and later ones `after`.
+/// Deletion joins are unplanned, so on top of the textual kernels every
+/// atom whose arguments are all bound on entry becomes a
+/// [`JoinKernel::Check`]: one hash lookup instead of a probe and a scan.
+fn deletion_variant(
+    rule: &Rule,
+    at: usize,
+    before: IdbAccess,
+    after: IdbAccess,
+    magic: &[bool],
+) -> CompiledRule {
+    let mut variant = compile_rule_pinned(rule, DeltaPin::Body { at, before, after }, magic);
+    let mut bound = vec![false; variant.var_count];
+    for atom in &mut variant.atoms {
+        let all_bound = atom.args.iter().all(|t| match t {
+            Term::Var(v) => bound[v.0],
+            Term::Const(_) => true,
+        });
+        if all_bound && !atom.args.is_empty() {
+            atom.kernel = JoinKernel::Check;
+        }
+        for t in &atom.args {
+            if let Term::Var(v) = t {
+                bound[v.0] = true;
+            }
+        }
+    }
+    variant
 }
 
-impl DenseIdx {
-    fn build(store: &TupleStore, pos: usize, universe: usize) -> Self {
-        let n = store.len();
-        let mut offsets = vec![0u32; universe + 2];
-        for id in 0..n as u32 {
-            offsets[store.get(TupleId(id))[pos] as usize + 2] += 1;
-        }
-        for e in 2..offsets.len() {
-            offsets[e] += offsets[e - 1];
-        }
-        let mut ids = vec![0u32; n];
-        for id in 0..n as u32 {
-            let cursor = &mut offsets[store.get(TupleId(id))[pos] as usize + 1];
-            ids[*cursor as usize] = id;
-            *cursor += 1;
-        }
-        offsets.pop();
-        DenseIdx { offsets, ids }
-    }
+/// Sorted seed ids per pinned predicate.
+type Seeds = HashMap<Pred, Vec<u32>>;
 
-    fn probe(&self, e: Element) -> &[u32] {
-        match self.offsets.get(e as usize..e as usize + 2) {
-            Some(&[lo, hi]) => &self.ids[lo as usize..hi as usize],
-            _ => &[],
-        }
-    }
-}
-
-/// Immutable world the deletion joins read: the pre-state stores plus
-/// position indexes built lazily on first probe. The deletion plan is
-/// single-threaded, and most positions are never probed — the fully-bound
-/// fast path in [`del_join`] answers bound atoms with hash lookups — so
-/// eager all-position builds would cost O(world) per batch for nothing.
-struct DelWorld<'a> {
-    template: &'a Structure,
-    universe: usize,
-    edb: &'a [MutableStore],
-    idb: &'a [MutableStore],
-    edb_idx: Vec<Vec<OnceCell<DenseIdx>>>,
-    idb_idx: Vec<Vec<OnceCell<DenseIdx>>>,
-}
-
-impl<'a> DelWorld<'a> {
-    fn new(template: &'a Structure, edb: &'a [MutableStore], idb: &'a [MutableStore]) -> Self {
-        let cells = |store: &TupleStore| -> Vec<OnceCell<DenseIdx>> {
-            (0..store.arity()).map(|_| OnceCell::new()).collect()
-        };
-        DelWorld {
-            template,
-            universe: template.universe_size(),
-            edb,
-            idb,
-            edb_idx: edb.iter().map(|m| cells(m.store())).collect(),
-            idb_idx: idb.iter().map(|m| cells(m.store())).collect(),
-        }
-    }
-
-    fn store(&self, pred: Pred) -> &TupleStore {
-        match pred {
-            Pred::Edb(r) => self.edb[r.0].store(),
-            Pred::Idb(i) => self.idb[i.0].store(),
-        }
-    }
-
-    fn index(&self, pred: Pred, pos: usize) -> &DenseIdx {
-        let (cell, store) = match pred {
-            Pred::Edb(r) => (&self.edb_idx[r.0][pos], self.edb[r.0].store()),
-            Pred::Idb(i) => (&self.idb_idx[i.0][pos], self.idb[i.0].store()),
-        };
-        cell.get_or_init(|| DenseIdx::build(store, pos, self.universe))
-    }
-}
-
-/// A set of tuple ids over one pre-state store, as a dense bitmap. The
-/// deletion joins test membership once per fetched candidate, so this is
-/// the hottest structure in the whole deletion plan — a word-indexed bit
-/// test beats hashing by an order of magnitude and ids are bounded by the
-/// (compacted, contiguous) store length.
-#[derive(Clone)]
-struct DenseSet {
-    words: Vec<u64>,
-    len: usize,
-}
-
-impl DenseSet {
-    fn for_ids(n: usize) -> Self {
-        DenseSet {
-            words: vec![0; n.div_ceil(64)],
-            len: 0,
-        }
-    }
-
-    fn contains(&self, id: u32) -> bool {
-        let (w, b) = (id as usize / 64, id % 64);
-        self.words.get(w).is_some_and(|word| word >> b & 1 == 1)
-    }
-
-    fn insert(&mut self, id: u32) -> bool {
-        let (w, b) = (id as usize / 64, id % 64);
-        let fresh = self.words[w] >> b & 1 == 0;
-        self.words[w] |= 1 << b;
-        self.len += fresh as usize;
-        fresh
-    }
-
-    fn remove(&mut self, id: u32) -> bool {
-        let (w, b) = (id as usize / 64, id % 64);
-        let was = self.words[w] >> b & 1 == 1;
-        self.words[w] &= !(1 << b);
-        self.len -= was as usize;
-        was
-    }
-
-    fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    /// All members in increasing id order.
-    fn iter_sorted(&self) -> impl Iterator<Item = u32> + '_ {
-        self.words.iter().enumerate().flat_map(|(w, &word)| {
-            (0..64)
-                .filter(move |b| word >> b & 1 == 1)
-                .map(move |b| (w * 64 + b) as u32)
-        })
-    }
-}
-
-/// The mutating deleted-tuple sets the plan accumulates. Strata are
-/// processed in topological order, so by the time a predicate's rules are
-/// joined every upstream set is final.
-struct DelSets {
+/// One deletion plan in progress: the pre-state it joins over, position
+/// indexes built on first use (a plan probes few positions, so building
+/// them all would cost O(world) per batch for nothing), and the deleted
+/// sets it accumulates. Strata are processed in topological order, so by
+/// the time a predicate's joins run every upstream set is final.
+struct DeletionPass<'a> {
+    engine: &'a IncrementalEngine,
+    gov: &'a Governor,
+    edb: Vec<&'a TupleStore>,
+    idb: Vec<&'a TupleStore>,
+    edb_idx: Vec<Vec<OnceCell<FrozenIndex>>>,
+    idb_idx: Vec<Vec<OnceCell<FrozenIndex>>>,
     edb_dying: Vec<DenseSet>,
     idb_deleted: Vec<DenseSet>,
-}
-
-impl DelSets {
-    fn deleted(&self, pred: Pred, id: u32) -> bool {
-        match pred {
-            Pred::Edb(r) => self.edb_dying[r.0].contains(id),
-            Pred::Idb(i) => self.idb_deleted[i.0].contains(id),
-        }
-    }
-
-    /// The pinned-occurrence candidate list for `pred`, sorted, or `None`
-    /// when nothing of that predicate is deleted.
-    fn deleted_sorted(&self, pred: Pred) -> Option<Vec<u32>> {
-        let set = match pred {
-            Pred::Edb(r) => &self.edb_dying[r.0],
-            Pred::Idb(i) => &self.idb_deleted[i.0],
-        };
-        if set.is_empty() {
-            return None;
-        }
-        Some(set.iter_sorted().collect())
-    }
-}
-
-/// Governor accounting for the deletion pass: worker-local step batching,
-/// one probe counted per candidate-source fetch.
-struct DelMeter<'a> {
-    gov: &'a Governor,
-    pending: u64,
     probes: u64,
 }
 
-impl<'a> DelMeter<'a> {
-    fn charge(&mut self) -> Result<(), Interrupted> {
-        self.pending += 1;
-        if self.pending >= 64 {
-            let n = self.pending;
-            self.pending = 0;
-            self.gov.step(n)?;
+impl<'a> DeletionPass<'a> {
+    fn new(engine: &'a IncrementalEngine, gov: &'a Governor, edb_dying: &[Vec<u32>]) -> Self {
+        let edb: Vec<&TupleStore> = engine.edb.iter().map(|m| m.store()).collect();
+        let idb: Vec<&TupleStore> = engine.idb.iter().map(|m| m.store()).collect();
+        let cells = |stores: &[&TupleStore]| -> Vec<Vec<OnceCell<FrozenIndex>>> {
+            stores
+                .iter()
+                .map(|s| (0..s.arity()).map(|_| OnceCell::new()).collect())
+                .collect()
+        };
+        let set_of = |store: &TupleStore, ids: &[u32]| {
+            let mut set = DenseSet::for_ids(store.len());
+            for &id in ids {
+                set.insert(id);
+            }
+            set
+        };
+        DeletionPass {
+            engine,
+            gov,
+            edb_idx: cells(&edb),
+            idb_idx: cells(&idb),
+            edb_dying: edb
+                .iter()
+                .zip(edb_dying)
+                .map(|(s, d)| set_of(s, d))
+                .collect(),
+            idb_deleted: idb.iter().map(|s| DenseSet::for_ids(s.len())).collect(),
+            edb,
+            idb,
+            probes: 0,
         }
+    }
+
+    /// The sorted members of every non-empty deleted set whose predicate
+    /// passes `keep`.
+    fn seeds(&self, keep: impl Fn(Pred) -> bool) -> Seeds {
+        let edb = (self.edb_dying.iter().enumerate()).map(|(r, s)| (Pred::Edb(RelId(r)), s));
+        let idb = (self.idb_deleted.iter().enumerate()).map(|(i, s)| (Pred::Idb(IdbId(i)), s));
+        edb.chain(idb)
+            .filter(|&(p, s)| s.len() > 0 && keep(p))
+            .map(|(p, s)| (p, s.iter_sorted().collect()))
+            .collect()
+    }
+
+    /// The index views `rule` probes: every position its kernels use
+    /// past the seeded atom.
+    fn views(&self, rule: &CompiledRule) -> [Vec<Vec<StageIndex<'_>>>; 2] {
+        let mut views: [Vec<Vec<StageIndex>>; 2] =
+            [&self.edb, &self.idb].map(|s| s.iter().map(|_| Vec::new()).collect());
+        for atom in &rule.atoms[1..] {
+            let (side, stores, cells, k) = match atom.pred {
+                Pred::Edb(r) => (0, &self.edb, &self.edb_idx, r.0),
+                Pred::Idb(i) => (1, &self.idb, &self.idb_idx, i.0),
+            };
+            for pos in atom.kernel.index_positions() {
+                let ix = cells[k][pos].get_or_init(|| FrozenIndex::build(stores[k], pos));
+                views[side][k].push(StageIndex::Shared(ix));
+            }
+        }
+        views
+    }
+
+    /// Runs every deletion join of `kind` whose head passes `heads` and
+    /// whose pinned predicate has seeds, through the shared join kernels,
+    /// into one counting buffer: its scratch arenas hold the emitted heads
+    /// with their derivation counts.
+    fn run(
+        &mut self,
+        kind: DelJoin,
+        heads: impl Fn(usize) -> bool,
+        seeds: &Seeds,
+    ) -> Result<WorkerBuf, Interrupted> {
+        let engine = self.engine;
+        let mut buf = WorkerBuf::new(&engine.compiled.idb_arities, true);
+        let lens: Vec<u32> = self.idb.iter().map(|s| s.len() as u32).collect();
+        for (k, rule) in &engine.deletion_joins {
+            let Some(seed) = seeds.get(&rule.atoms[0].pred) else {
+                continue;
+            };
+            if *k != kind || !heads(rule.head.0) {
+                continue;
+            }
+            let [edb_idx, idb_idx] = self.views(rule);
+            let ctx = JoinCtx {
+                structure: &engine.template,
+                edb: &self.edb,
+                edb_idx: &edb_idx,
+                idb: &self.idb,
+                idb_idx: &idb_idx,
+                blooms: None,
+                prev_len: &lens,
+                delta_lo: &lens,
+                edb_delta_lo: None,
+                idb_delta_sub: None,
+                edb_delta_sub: None,
+                batched: false,
+                gov: self.gov,
+                seed: Some(seed),
+                deleted: Some((&self.edb_dying, &self.idb_deleted)),
+            };
+            evaluate_rule(rule, &ctx, &mut buf)?;
+        }
+        if buf.pending_steps > 0 {
+            self.gov.step(buf.pending_steps)?;
+        }
+        self.probes += buf.probes;
+        Ok(buf)
+    }
+
+    /// The pre-state ids of the heads `buf` derived for predicate `p`,
+    /// with their derivation counts.
+    fn derived<'b>(
+        &'b self,
+        buf: &'b WorkerBuf,
+        p: usize,
+    ) -> impl Iterator<Item = (u32, u32)> + 'b {
+        let store = self.idb[p];
+        (buf.scratch[p].iter().zip(&buf.scratch_counts[p]))
+            .filter_map(move |(t, &c)| store.lookup(t).map(|id| (id.0, c)))
+    }
+
+    /// Exact counting deletion for a non-recursive predicate: sum the
+    /// lost derivations over every rule and pinned occurrence, and delete
+    /// the tuples whose support they exhaust.
+    fn count(&mut self, p: usize, plan: &mut DeletionPlan) -> Result<(), Interrupted> {
+        let seeds = self.seeds(|_| true);
+        let buf = self.run(DelJoin::Lost, |h| h == p, &seeds)?;
+        let lost: HashMap<u32, u32> = self.derived(&buf, p).collect();
+        for (&id, &c) in &lost {
+            if self.engine.idb[p].support(TupleId(id)) <= c {
+                self.idb_deleted[p].insert(id);
+            }
+        }
+        plan.support_sub[p] = lost;
         Ok(())
     }
 
-    fn flush(&mut self) -> Result<(), Interrupted> {
-        if self.pending > 0 {
-            let n = self.pending;
-            self.pending = 0;
-            self.gov.step(n)?;
-        }
+    /// DRed for one recursive SCC: overdelete every tuple with a
+    /// derivation through an externally deleted premise, closed under the
+    /// component's rules over the pre-state; then rederive the overdeleted
+    /// tuples that keep a derivation from survivors, closed likewise.
+    fn dred(&mut self, c: usize, plan: &mut DeletionPlan) -> Result<(), Interrupted> {
+        let scc = self.engine.compiled.scc_info();
+        let member = |q: Pred| matches!(q, Pred::Idb(i) if scc.component_of(i.0) == c);
+        let external = self.seeds(|q| !member(q));
+        plan.overdeleted += self.close(c, [DelJoin::Lost; 2], &external, DenseSet::insert)?;
+        let overdeleted = self.seeds(member);
+        let kinds = [DelJoin::Rederivable, DelJoin::Rederive];
+        plan.rederived += self.close(c, kinds, &overdeleted, DenseSet::remove)?;
         Ok(())
     }
-}
 
-fn pre_live(world: &DelWorld<'_>, pred: Pred, id: u32) -> bool {
-    match pred {
-        // The deletion plan runs before any mutation, so "live now" is
-        // the pre-state; EDB tuples marked dying are still live here.
-        Pred::Edb(r) => world.edb[r.0].is_live(TupleId(id)),
-        Pred::Idb(_) => true,
-    }
-}
-
-fn filter_ok(world: &DelWorld<'_>, sets: &DelSets, pred: Pred, id: u32, f: DelFilter) -> bool {
-    match f {
-        DelFilter::Pre => pre_live(world, pred, id),
-        DelFilter::Survivor => pre_live(world, pred, id) && !sets.deleted(pred, id),
-    }
-}
-
-fn resolve(world: &DelWorld<'_>, binding: &[Option<Element>], t: &Term) -> Option<Element> {
-    match t {
-        Term::Var(v) => binding[v.0],
-        Term::Const(c) => Some(world.template.constant(*c)),
-    }
-}
-
-fn const_eqs_ok(world: &DelWorld<'_>, rule: &CompiledRule) -> bool {
-    rule.const_eqs.iter().all(|(a, b)| {
-        let val = |t: &Term| match t {
-            Term::Var(_) => None,
-            Term::Const(c) => Some(world.template.constant(*c)),
-        };
-        val(a) == val(b)
-    })
-}
-
-/// Recursive deletion join: binds atoms in `order` (the pinned deleted
-/// occurrence first, seeded by `seed`), then enumerates unbound free
-/// variables, checks all ≠-constraints, and emits each satisfying head.
-/// `emit` returning `true` stops the whole join (existence queries).
-///
-/// Candidate selection is dynamic — the first resolvable argument position
-/// probes its all-position index, otherwise the atom scans — because
-/// deleted sets are not id ranges and the static kernels don't apply.
-#[allow(clippy::too_many_arguments)]
-fn del_join(
-    world: &DelWorld<'_>,
-    sets: &DelSets,
-    m: &mut DelMeter<'_>,
-    rule: &CompiledRule,
-    order: &[usize],
-    filters: &[DelFilter],
-    seed: Option<&[u32]>,
-    binding: &mut Vec<Option<Element>>,
-    depth: usize,
-    emit: &mut dyn FnMut(&[Element]) -> bool,
-) -> Result<bool, Interrupted> {
-    if depth == order.len() {
-        return del_free(world, m, rule, 0, binding, emit);
-    }
-    let ai = order[depth];
-    let atom = &rule.atoms[ai];
-    let store = world.store(atom.pred);
-    m.probes += 1;
-    let seed_ids = if depth == 0 { seed } else { None };
-    if seed_ids.is_none() {
-        // Fully-bound fast path: every argument resolves, so the atom is
-        // an existence test — one hash lookup instead of a probe+scan.
-        // Dominant in `derivable`, where the head binds all join vars.
-        let mut full: Vec<Element> = Vec::with_capacity(atom.args.len());
-        if atom
-            .args
-            .iter()
-            .all(|t| resolve(world, binding, t).map(|e| full.push(e)).is_some())
-        {
-            m.charge()?;
-            if let Some(id) = store.lookup(&full) {
-                if filter_ok(world, sets, atom.pred, id.0, filters[ai]) {
-                    return del_join(
-                        world,
-                        sets,
-                        m,
-                        rule,
-                        order,
-                        filters,
-                        seed,
-                        binding,
-                        depth + 1,
-                        emit,
-                    );
+    /// Runs `kinds[0]` over `seeds` for the heads of component `c`, then
+    /// `kinds[1]` pinned on each round's accepted heads until a round
+    /// accepts none; `accept` moves a head id into (or out of) the
+    /// deleted set and reports whether it was news. Returns the number of
+    /// accepted heads.
+    fn close(
+        &mut self,
+        c: usize,
+        kinds: [DelJoin; 2],
+        seeds: &Seeds,
+        accept: fn(&mut DenseSet, u32) -> bool,
+    ) -> Result<u64, Interrupted> {
+        let scc = self.engine.compiled.scc_info();
+        let in_scc = |h: usize| scc.component_of(h) == c;
+        let mut buf = self.run(kinds[0], in_scc, seeds)?;
+        let mut accepted = 0u64;
+        loop {
+            let mut frontier = Seeds::new();
+            for &p in scc.members(c) {
+                let mut ids: Vec<u32> = self.derived(&buf, p).map(|(id, _)| id).collect();
+                ids.retain(|&id| accept(&mut self.idb_deleted[p], id));
+                if !ids.is_empty() {
+                    accepted += ids.len() as u64;
+                    ids.sort_unstable();
+                    frontier.insert(Pred::Idb(IdbId(p)), ids);
                 }
             }
-            return Ok(false);
-        }
-    }
-    let probe = if seed_ids.is_none() {
-        atom.args
-            .iter()
-            .enumerate()
-            .find_map(|(p, t)| resolve(world, binding, t).map(|e| (p, e)))
-    } else {
-        None
-    };
-    let scan_buf: Vec<u32>;
-    let ids: &[u32] = match (seed_ids, probe) {
-        (Some(s), _) => s,
-        (None, Some((p, e))) => world.index(atom.pred, p).probe(e),
-        (None, None) => {
-            scan_buf = (0..store.len() as u32).collect();
-            &scan_buf
-        }
-    };
-    let mut newly: Vec<VarId> = Vec::new();
-    for &id in ids {
-        m.charge()?;
-        if !filter_ok(world, sets, atom.pred, id, filters[ai]) {
-            continue;
-        }
-        let tuple = store.get(TupleId(id));
-        let mut ok = true;
-        for (pos, t) in atom.args.iter().enumerate() {
-            match t {
-                Term::Const(c) => {
-                    if world.template.constant(*c) != tuple[pos] {
-                        ok = false;
-                        break;
-                    }
-                }
-                Term::Var(v) => match binding[v.0] {
-                    Some(e) => {
-                        if e != tuple[pos] {
-                            ok = false;
-                            break;
-                        }
-                    }
-                    None => {
-                        binding[v.0] = Some(tuple[pos]);
-                        newly.push(*v);
-                    }
-                },
+            if frontier.is_empty() {
+                return Ok(accepted);
             }
-        }
-        let stop = if ok {
-            del_join(
-                world,
-                sets,
-                m,
-                rule,
-                order,
-                filters,
-                seed,
-                binding,
-                depth + 1,
-                emit,
-            )?
-        } else {
-            false
-        };
-        for v in newly.drain(..) {
-            binding[v.0] = None;
-        }
-        if stop {
-            return Ok(true);
+            buf = self.run(kinds[1], in_scc, &frontier)?;
         }
     }
-    Ok(false)
-}
-
-/// Enumerates still-unbound free variables (head-bound re-derivation
-/// checks arrive with some already fixed), then checks every
-/// ≠-constraint and emits the head tuple.
-fn del_free(
-    world: &DelWorld<'_>,
-    m: &mut DelMeter<'_>,
-    rule: &CompiledRule,
-    fi: usize,
-    binding: &mut Vec<Option<Element>>,
-    emit: &mut dyn FnMut(&[Element]) -> bool,
-) -> Result<bool, Interrupted> {
-    if fi == rule.free_vars.len() {
-        for (a, b) in &rule.neqs {
-            if let (Some(x), Some(y)) = (resolve(world, binding, a), resolve(world, binding, b)) {
-                if x == y {
-                    return Ok(false);
-                }
-            }
-        }
-        let mut head: Vec<Element> = Vec::with_capacity(rule.head_args.len());
-        for t in &rule.head_args {
-            match resolve(world, binding, t) {
-                Some(e) => head.push(e),
-                None => {
-                    debug_assert!(false, "head variables bound after free enumeration");
-                    return Ok(false);
-                }
-            }
-        }
-        return Ok(emit(&head));
-    }
-    let v = rule.free_vars[fi];
-    if binding[v.0].is_some() {
-        return del_free(world, m, rule, fi + 1, binding, emit);
-    }
-    for e in 0..world.universe as Element {
-        m.charge()?;
-        binding[v.0] = Some(e);
-        let stop = del_free(world, m, rule, fi + 1, binding, emit)?;
-        if stop {
-            binding[v.0] = None;
-            return Ok(true);
-        }
-    }
-    binding[v.0] = None;
-    Ok(false)
-}
-
-/// Collects, for one rule and one pinned deleted occurrence `o`, every
-/// lost derivation's head id: occurrence `o` ranges over the deleted
-/// tuples, earlier occurrences over survivors, later ones over the
-/// pre-state — the single-shot partition that enumerates each lost
-/// derivation exactly once across all `o`.
-#[allow(clippy::too_many_arguments)]
-fn lost_heads(
-    world: &DelWorld<'_>,
-    sets: &DelSets,
-    m: &mut DelMeter<'_>,
-    rule: &CompiledRule,
-    o: usize,
-    seed: &[u32],
-    out: &mut Vec<u32>,
-) -> Result<(), Interrupted> {
-    if !const_eqs_ok(world, rule) {
-        return Ok(());
-    }
-    let n = rule.atoms.len();
-    let mut order: Vec<usize> = vec![o];
-    order.extend((0..n).filter(|&j| j != o));
-    let filters: Vec<DelFilter> = (0..n)
-        .map(|j| {
-            if j < o {
-                DelFilter::Survivor
-            } else {
-                DelFilter::Pre
-            }
-        })
-        .collect();
-    let head_store = world.idb[rule.head.0].store();
-    let mut binding = vec![None; rule.var_count];
-    del_join(
-        world,
-        sets,
-        m,
-        rule,
-        &order,
-        &filters,
-        Some(seed),
-        &mut binding,
-        0,
-        &mut |head| {
-            match head_store.lookup(head) {
-                Some(id) => out.push(id.0),
-                // A lost derivation's head was derivable pre-batch, so it
-                // is interned; anything else signals count drift.
-                None => debug_assert!(false, "lost derivation of an unknown head tuple"),
-            }
-            false
-        },
-    )?;
-    Ok(())
-}
-
-/// Whether `tuple` of predicate `head` is derivable from survivors only
-/// (the DRed re-derivation test): head-bound existence join over every
-/// rule for `head`.
-fn derivable(
-    world: &DelWorld<'_>,
-    sets: &DelSets,
-    m: &mut DelMeter<'_>,
-    rules: &[&CompiledRule],
-    tuple: &[Element],
-) -> Result<bool, Interrupted> {
-    'rules: for rule in rules {
-        if !const_eqs_ok(world, rule) {
-            continue;
-        }
-        let mut binding = vec![None; rule.var_count];
-        for (k, t) in rule.head_args.iter().enumerate() {
-            match t {
-                Term::Const(c) => {
-                    if world.template.constant(*c) != tuple[k] {
-                        continue 'rules;
-                    }
-                }
-                Term::Var(v) => match binding[v.0] {
-                    Some(e) => {
-                        if e != tuple[k] {
-                            continue 'rules;
-                        }
-                    }
-                    None => binding[v.0] = Some(tuple[k]),
-                },
-            }
-        }
-        let n = rule.atoms.len();
-        let order: Vec<usize> = (0..n).collect();
-        let filters = vec![DelFilter::Survivor; n];
-        let mut found = false;
-        del_join(
-            world,
-            sets,
-            m,
-            rule,
-            &order,
-            &filters,
-            None,
-            &mut binding,
-            0,
-            &mut |_| {
-                found = true;
-                true
-            },
-        )?;
-        if found {
-            return Ok(true);
-        }
-    }
-    Ok(false)
 }
 
 impl IncrementalEngine {
@@ -1443,9 +1201,7 @@ impl IncrementalEngine {
         let idb_count = self.compiled.idb_arities.len();
         let mut plan = DeletionPlan {
             edb_dying: vec![Vec::new(); self.edb.len()],
-            idb_deleted: (0..idb_count)
-                .map(|i| DenseSet::for_ids(self.idb[i].len()))
-                .collect(),
+            idb_deleted: Vec::new(),
             support_sub: vec![HashMap::new(); idb_count],
             overdeleted: 0,
             rederived: 0,
@@ -1478,318 +1234,21 @@ impl IncrementalEngine {
             return Ok(plan);
         }
         gov.check()?;
-        let world = DelWorld::new(&self.template, &self.edb, &self.idb);
-        let mut sets = DelSets {
-            edb_dying: plan
-                .edb_dying
-                .iter()
-                .zip(&self.edb)
-                .map(|(v, m)| {
-                    let mut set = DenseSet::for_ids(m.len());
-                    for &id in v {
-                        set.insert(id);
-                    }
-                    set
-                })
-                .collect(),
-            idb_deleted: (0..idb_count)
-                .map(|i| DenseSet::for_ids(self.idb[i].len()))
-                .collect(),
-        };
-        let mut meter = DelMeter {
-            gov,
-            pending: 0,
-            probes: 0,
-        };
+        let mut pass = DeletionPass::new(self, gov, &plan.edb_dying);
         let scc = self.compiled.scc_info();
         for c in 0..scc.count() {
             if scc.is_recursive(c) {
-                self.dred_component(&world, &mut sets, &mut meter, c, &mut plan)?;
+                pass.dred(c, &mut plan)?;
             } else {
                 for &p in scc.members(c) {
-                    self.count_deletions(&world, &mut sets, &mut meter, p, &mut plan)?;
+                    pass.count(p, &mut plan)?;
                 }
             }
         }
-        meter.flush()?;
-        plan.idb_deleted = sets.idb_deleted;
-        plan.stats.join_probes = meter.probes;
+        plan.stats.join_probes = pass.probes;
+        plan.idb_deleted = pass.idb_deleted;
         Ok(plan)
     }
-
-    /// Exact counting deletion for a non-recursive predicate: accumulate
-    /// lost derivation counts over all rules and pinned occurrences, kill
-    /// tuples whose support reaches zero.
-    fn count_deletions(
-        &self,
-        world: &DelWorld<'_>,
-        sets: &mut DelSets,
-        meter: &mut DelMeter<'_>,
-        p: usize,
-        plan: &mut DeletionPlan,
-    ) -> Result<(), Interrupted> {
-        let mut lost: HashMap<u32, u32> = HashMap::new();
-        let mut heads: Vec<u32> = Vec::new();
-        for &ri in &self.rules_by_head[p] {
-            let rule = &self.compiled.naive_rules[ri];
-            for o in 0..rule.atoms.len() {
-                let Some(seed) = sets.deleted_sorted(rule.atoms[o].pred) else {
-                    continue;
-                };
-                heads.clear();
-                lost_heads(world, sets, meter, rule, o, &seed, &mut heads)?;
-                for &id in &heads {
-                    *lost.entry(id).or_insert(0) += 1;
-                }
-            }
-        }
-        for (&id, &c) in &lost {
-            if self.idb[p].support(TupleId(id)) <= c {
-                sets.idb_deleted[p].insert(id);
-            }
-        }
-        plan.support_sub[p] = lost;
-        Ok(())
-    }
-
-    /// DRed for one recursive SCC: seed the overdeletion from external
-    /// deletions, propagate through member occurrences to a fixpoint,
-    /// then re-derive overdeleted tuples from survivors until stable.
-    fn dred_component(
-        &self,
-        world: &DelWorld<'_>,
-        sets: &mut DelSets,
-        meter: &mut DelMeter<'_>,
-        c: usize,
-        plan: &mut DeletionPlan,
-    ) -> Result<(), Interrupted> {
-        let scc = self.compiled.scc_info();
-        let members: Vec<usize> = scc.members(c).to_vec();
-        let member_set: HashSet<usize> = members.iter().copied().collect();
-        let mut rules: Vec<usize> = Vec::new();
-        for &p in &members {
-            rules.extend(self.rules_by_head[p].iter().copied());
-        }
-        rules.sort_unstable();
-        let mut heads: Vec<u32> = Vec::new();
-        // Overdelete seed: derivations with at least one externally
-        // deleted premise (EDB deaths or finalized earlier strata).
-        let mut frontier: HashMap<usize, Vec<u32>> = HashMap::new();
-        for &ri in &rules {
-            let rule = &self.compiled.naive_rules[ri];
-            let head = rule.head.0;
-            for (o, atom) in rule.atoms.iter().enumerate() {
-                if matches!(atom.pred, Pred::Idb(i) if member_set.contains(&i.0)) {
-                    continue;
-                }
-                let Some(seed) = sets.deleted_sorted(atom.pred) else {
-                    continue;
-                };
-                heads.clear();
-                lost_dred(world, sets, meter, rule, o, &seed, &mut heads)?;
-                collect_fresh(&mut frontier, &sets.idb_deleted[head], head, &heads);
-            }
-        }
-        let mut overdeleted: Vec<(usize, u32)> = Vec::new();
-        while !frontier.is_empty() {
-            // Commit this round's overdeletions before propagating.
-            let mut round: Vec<(usize, Vec<u32>)> = frontier.drain().collect();
-            round.sort_unstable_by_key(|(p, _)| *p);
-            for (p, ids) in &round {
-                for &id in ids {
-                    sets.idb_deleted[*p].insert(id);
-                    overdeleted.push((*p, id));
-                }
-            }
-            let mut next: HashMap<usize, Vec<u32>> = HashMap::new();
-            for &ri in &rules {
-                let rule = &self.compiled.naive_rules[ri];
-                let head = rule.head.0;
-                for (o, atom) in rule.atoms.iter().enumerate() {
-                    let Pred::Idb(i) = atom.pred else { continue };
-                    let Some((_, seed)) = round.iter().find(|(p, _)| *p == i.0) else {
-                        continue;
-                    };
-                    if seed.is_empty() {
-                        continue;
-                    }
-                    heads.clear();
-                    lost_dred(world, sets, meter, rule, o, seed, &mut heads)?;
-                    collect_fresh(&mut next, &sets.idb_deleted[head], head, &heads);
-                }
-            }
-            frontier = next;
-        }
-        overdeleted.sort_unstable();
-        overdeleted.dedup();
-        plan.overdeleted += overdeleted.len() as u64;
-        // Re-derive: an overdeleted tuple with a surviving derivation
-        // comes back, possibly re-enabling others. One head-bound
-        // existence pass over the overdeleted set seeds a frontier; after
-        // that only delta joins pinned on freshly rederived tuples run, so
-        // tuples no rederivation can reach are never rechecked (the naive
-        // alternative — rescanning every overdeleted tuple per round —
-        // costs rounds × overdeleted and dominates TC-style cascades).
-        let rules_of: Vec<Vec<&CompiledRule>> = (0..self.compiled.idb_arities.len())
-            .map(|p| {
-                self.rules_by_head[p]
-                    .iter()
-                    .map(|&ri| &self.compiled.naive_rules[ri])
-                    .collect()
-            })
-            .collect();
-        let mut frontier: HashMap<usize, Vec<u32>> = HashMap::new();
-        for &(p, id) in &overdeleted {
-            let tuple = world.idb[p].store().get(TupleId(id)).to_vec();
-            // Rederived tuples count as survivors immediately (the
-            // iteration order is fixed, so this stays deterministic and
-            // only accelerates convergence).
-            if derivable(world, sets, meter, &rules_of[p], &tuple)? {
-                sets.idb_deleted[p].remove(id);
-                plan.rederived += 1;
-                frontier.entry(p).or_default().push(id);
-            }
-        }
-        while !frontier.is_empty() {
-            let mut round: Vec<(usize, Vec<u32>)> = frontier.drain().collect();
-            round.sort_unstable_by_key(|(p, _)| *p);
-            for (_, ids) in round.iter_mut() {
-                ids.sort_unstable();
-            }
-            let mut next: HashMap<usize, Vec<u32>> = HashMap::new();
-            for &ri in &rules {
-                let rule = &self.compiled.naive_rules[ri];
-                let head = rule.head.0;
-                for (o, atom) in rule.atoms.iter().enumerate() {
-                    let Pred::Idb(i) = atom.pred else { continue };
-                    let Some((_, seed)) = round.iter().find(|(p, _)| *p == i.0) else {
-                        continue;
-                    };
-                    heads.clear();
-                    rederive_heads(world, sets, meter, rule, o, seed, &mut heads)?;
-                    for &id in &heads {
-                        if sets.idb_deleted[head].remove(id) {
-                            plan.rederived += 1;
-                            next.entry(head).or_default().push(id);
-                        }
-                    }
-                }
-            }
-            frontier = next;
-        }
-        Ok(())
-    }
-}
-
-/// Rederivation propagation join: the pinned occurrence ranges over
-/// freshly rederived tuples, every other occurrence over survivors. Any
-/// head it derives is derivable from the post-deletion state.
-#[allow(clippy::too_many_arguments)]
-fn rederive_heads(
-    world: &DelWorld<'_>,
-    sets: &DelSets,
-    m: &mut DelMeter<'_>,
-    rule: &CompiledRule,
-    o: usize,
-    seed: &[u32],
-    out: &mut Vec<u32>,
-) -> Result<(), Interrupted> {
-    if !const_eqs_ok(world, rule) {
-        return Ok(());
-    }
-    let n = rule.atoms.len();
-    let mut order: Vec<usize> = vec![o];
-    order.extend((0..n).filter(|&j| j != o));
-    let filters = vec![DelFilter::Survivor; n];
-    let head_store = world.idb[rule.head.0].store();
-    let mut binding = vec![None; rule.var_count];
-    del_join(
-        world,
-        sets,
-        m,
-        rule,
-        &order,
-        &filters,
-        Some(seed),
-        &mut binding,
-        0,
-        &mut |head| {
-            // Deletion shrinks the fixpoint, so every tuple derivable from
-            // survivors was derivable pre-batch and is interned; a miss
-            // would only mean the head was never derived — skip it.
-            if let Some(id) = head_store.lookup(head) {
-                out.push(id.0);
-            }
-            false
-        },
-    )?;
-    Ok(())
-}
-
-/// Overdeletion join: like [`lost_heads`] but every non-pinned occurrence
-/// reads the pre-state (the over-approximation DRed wants — duplicates
-/// across pinned occurrences are fine, re-derivation repairs excess).
-#[allow(clippy::too_many_arguments)]
-fn lost_dred(
-    world: &DelWorld<'_>,
-    sets: &DelSets,
-    m: &mut DelMeter<'_>,
-    rule: &CompiledRule,
-    o: usize,
-    seed: &[u32],
-    out: &mut Vec<u32>,
-) -> Result<(), Interrupted> {
-    if !const_eqs_ok(world, rule) {
-        return Ok(());
-    }
-    let n = rule.atoms.len();
-    let mut order: Vec<usize> = vec![o];
-    order.extend((0..n).filter(|&j| j != o));
-    let filters = vec![DelFilter::Pre; n];
-    let head_store = world.idb[rule.head.0].store();
-    let mut binding = vec![None; rule.var_count];
-    del_join(
-        world,
-        sets,
-        m,
-        rule,
-        &order,
-        &filters,
-        Some(seed),
-        &mut binding,
-        0,
-        &mut |head| {
-            if let Some(id) = head_store.lookup(head) {
-                out.push(id.0);
-            }
-            false
-        },
-    )?;
-    Ok(())
-}
-
-/// Adds head ids not already marked deleted to `frontier[head]`, sorted
-/// and deduplicated (deterministic round order).
-fn collect_fresh(
-    frontier: &mut HashMap<usize, Vec<u32>>,
-    deleted: &DenseSet,
-    head: usize,
-    heads: &[u32],
-) {
-    let mut fresh: Vec<u32> = heads
-        .iter()
-        .copied()
-        .filter(|&id| !deleted.contains(id))
-        .collect();
-    if fresh.is_empty() {
-        return;
-    }
-    fresh.sort_unstable();
-    fresh.dedup();
-    let entry = frontier.entry(head).or_default();
-    entry.extend(fresh);
-    entry.sort_unstable();
-    entry.dedup();
 }
 
 #[cfg(test)]
@@ -1800,6 +1259,7 @@ mod tests {
     use kv_structures::generators::{directed_path, random_digraph};
     use kv_structures::govern::Budget;
     use kv_structures::JoinLowering;
+    use std::collections::HashSet;
 
     /// The engine's live IDB sets must equal a from-scratch run over the
     /// engine's own materialized EDB.
@@ -2127,6 +1587,23 @@ mod tests {
             "a cancelled batch must not plan any joins"
         );
         assert_matches_scratch(&engine, &program);
+    }
+
+    /// A snapshot store holding a support-0 tuple would read as live to
+    /// the range-windowed joins, so restore rejects it.
+    #[test]
+    fn restore_rejects_dead_snapshot_tuples() {
+        let program = programs::transitive_closure();
+        let template = directed_path(3);
+        let mut arena = TupleStore::new(2);
+        arena.intern(&[0, 1]);
+        let dead = MutableStore::from_parts(arena, vec![0], 0, Vec::new()).unwrap();
+        let idb = vec![MutableStore::new(2)];
+        let options = EvalOptions::default();
+        let stats = EvalStats::default();
+        let restored =
+            IncrementalEngine::restore(&program, &template, options, vec![dead], idb, 0, stats);
+        assert!(restored.is_err());
     }
 
     /// Retracts of facts that are not live are dropped by the `r' =

@@ -379,6 +379,8 @@ impl<'a> StageExec<'a> {
                 edb_delta_sub: shard.and_then(|s| s.edb_ranges.get(w)).map(Vec::as_slice),
                 batched: self.batched,
                 gov,
+                seed: None,
+                deleted: None,
             };
             let mut buf = WorkerBuf::new(&self.idb_arities, self.edb_delta_lo.is_some());
             for (ri, rule) in live.iter().enumerate() {

@@ -679,11 +679,13 @@ impl PosIndex {
 ///
 /// The layout is compact — the sorted distinct keys, one offset per key
 /// and one id array grouped by key — so it costs O(tuples + distinct keys)
-/// memory with no per-key allocation and nothing sized by the universe. A
-/// probe is a binary search over the keys plus the two range searches of
-/// [`PosIndex::probe`]. [`Relation`](crate::Relation) caches one per
-/// probed position, so every evaluation of an unchanged structure shares
-/// it.
+/// memory with no per-key allocation and nothing sized by the universe;
+/// only the [`build`](Self::build) holds a temporary bucket array, of at
+/// most two `u32`s per tuple. A probe is a binary search over the keys
+/// plus the two range searches of [`PosIndex::probe`].
+/// [`Relation`](crate::Relation) caches one per probed position, so every
+/// evaluation of an unchanged structure shares it, and the incremental
+/// engine's deletion joins build them lazily over the pre-state.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FrozenIndex {
     pos: usize,
@@ -696,25 +698,57 @@ pub struct FrozenIndex {
 
 impl FrozenIndex {
     /// Indexes position `pos` of every tuple in `store`.
+    ///
+    /// When the largest key is at most twice the tuple count, a counting
+    /// sort groups the ids in two linear passes with no comparisons; its
+    /// temporary bucket array (one `u32` per key value up to the largest)
+    /// is then no larger than the packed pairs a sort would allocate.
+    /// Sparser keys fall back to one sort of `(key, id)` pairs packed into
+    /// `u64`s. Either way each key's ids come out in increasing order.
     pub fn build(store: &TupleStore, pos: usize) -> Self {
-        // One sort of (key, id) pairs packed into u64s groups the ids by
-        // key and keeps each group id-sorted.
-        let mut pairs: Vec<u64> = (0..store.len() as u32)
-            .map(|id| (u64::from(store.get(TupleId(id))[pos]) << 32) | u64::from(id))
-            .collect();
-        pairs.sort_unstable();
+        let n = store.len();
+        let key = |id: usize| store.get(TupleId(id as u32))[pos];
         let mut keys = Vec::new();
         let mut offsets = Vec::new();
-        let mut ids = Vec::with_capacity(pairs.len());
-        for (i, &pair) in pairs.iter().enumerate() {
-            let key = (pair >> 32) as Element;
-            if keys.last() != Some(&key) {
-                keys.push(key);
-                offsets.push(i as u32);
+        let ids = match (0..n).map(key).max() {
+            Some(max) if max as usize <= 2 * n => {
+                // `next[k]` counts key `k`, then becomes its fill cursor.
+                let mut next = vec![0u32; max as usize + 1];
+                for id in 0..n {
+                    next[key(id) as usize] += 1;
+                }
+                let mut total = 0u32;
+                for (k, slot) in next.iter_mut().enumerate() {
+                    if *slot > 0 {
+                        keys.push(k as Element);
+                        offsets.push(total);
+                    }
+                    (*slot, total) = (total, total + *slot);
+                }
+                let mut ids = vec![0u32; n];
+                for id in 0..n {
+                    let slot = &mut next[key(id) as usize];
+                    ids[*slot as usize] = id as u32;
+                    *slot += 1;
+                }
+                ids
             }
-            ids.push(pair as u32);
-        }
-        offsets.push(ids.len() as u32);
+            _ => {
+                let mut pairs: Vec<u64> = (0..n)
+                    .map(|id| (u64::from(key(id)) << 32) | id as u64)
+                    .collect();
+                pairs.sort_unstable();
+                for (i, &pair) in pairs.iter().enumerate() {
+                    let k = (pair >> 32) as Element;
+                    if keys.last() != Some(&k) {
+                        keys.push(k);
+                        offsets.push(i as u32);
+                    }
+                }
+                pairs.into_iter().map(|pair| pair as u32).collect()
+            }
+        };
+        offsets.push(n as u32);
         Self {
             pos,
             keys,
@@ -1237,9 +1271,19 @@ mod tests {
         assert_eq!(frozen.pos(), pos);
         assert_eq!(frozen.covered(), grown.covered());
         let top = store.iter().map(|t| t[pos]).max().map_or(4, |m| m + 4);
+        // Every key up to `top`, or for sparse keys each stored key and
+        // its neighbours.
+        let keys: Vec<Element> = if top < 4096 {
+            (0..=top).collect()
+        } else {
+            let near = store
+                .iter()
+                .flat_map(|t| [t[pos].saturating_sub(1), t[pos], t[pos] + 1]);
+            near.chain([0, top]).collect()
+        };
         let mut rng = crate::rng::SplitMix64::seed_from_u64(seed);
         let n = store.len() as u64;
-        for e in 0..=top {
+        for e in keys {
             let mut ranges = vec![store.id_range(), IdRange::EMPTY];
             for _ in 0..8 {
                 let a = (rng.next_u64() % (n + 1)) as u32;
@@ -1280,6 +1324,21 @@ mod tests {
         let mut single = TupleStore::new(1);
         single.intern(&[9]);
         assert_frozen_matches_growable(&single, 0, 3);
+        // After swap_remove, ids no longer follow key-insertion order.
+        for id in [3, 0, skewed.len() as u32 / 2, 17] {
+            skewed.swap_remove(TupleId(id));
+        }
+        for pos in 0..2 {
+            assert_frozen_matches_growable(&skewed, pos, 21 + pos as u64);
+        }
+        // Sparse keys: the largest far exceeds the tuple count.
+        let mut sparse = TupleStore::new(2);
+        for i in 1..50u32 {
+            sparse.intern(&[i * 100_003 % 4_000_037, i % 3]);
+        }
+        for pos in 0..2 {
+            assert_frozen_matches_growable(&sparse, pos, 31 + pos as u64);
+        }
     }
 
     #[test]
